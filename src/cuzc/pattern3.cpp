@@ -1,7 +1,6 @@
 #include "pattern3.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "slot_reduce.hpp"
 #include "vgpu/simd.hpp"
@@ -33,6 +32,16 @@ constexpr std::uint32_t kStripVals = 9;
 // slot order (min1 max1 sum1 sumsq1 min2 max2 sum2 sumsq2 cross).
 static_assert(kStripVals == simd::kP3StripVals);
 static_assert(kCross - kStripBase + 1 == kStripVals);
+static_assert(simd::kP3Lanes == vgpu::kWarpSize);
+constexpr std::size_t kRowVals = simd::kP3RowVals;
+
+/// Shared bytes one block allocates, in the kernel's allocation order: wy
+/// strip rows, the wz-slot FIFO ring, then block_reduce_slots' per-warp
+/// partials (the block has wy warps).
+[[nodiscard]] std::uint64_t shared_footprint(std::uint32_t wy, std::uint32_t wz) noexcept {
+    return sizeof(double) *
+           (kRowVals * wy + kRowVals * wz + block_reduce_shared_vals(kNumSlots, wy));
+}
 
 }  // namespace
 
@@ -50,9 +59,12 @@ Pattern3Result pattern3_ssim_device(vgpu::Device& dev, const vgpu::DeviceBuffer<
     const auto wz = static_cast<std::uint32_t>(
         zc::effective_window(l, static_cast<std::size_t>(cfg.ssim_window)));
     const auto s = static_cast<std::uint32_t>(cfg.ssim_step);
-    if (wx > vgpu::kWarpSize) {
-        // One warp cannot cover a window plus its shuffle sources; the paper
-        // assumes wsize <= warpSize (its evaluation uses 8).
+    if (wx > vgpu::kWarpSize || shared_footprint(wy, wz) > dev.props().smem_per_block) {
+        // One warp cannot cover a window plus its shuffle sources, and the
+        // strip rows plus the FIFO ring must fit one block's shared memory
+        // (cube windows up to 10 on the V100 carve-out). The paper assumes
+        // wsize <= warpSize (its evaluation uses 8); zc::ssim3d takes any
+        // window.
         return result;
     }
 
@@ -74,18 +86,24 @@ Pattern3Result pattern3_ssim_device(vgpu::Device& dev, const vgpu::DeviceBuffer<
         auto ddec = lnch.span(d_dec);
         auto dpart = lnch.span(d_part);
 
-        // Shared memory: per-(lane,row) strip results of the current slice,
-        // plus the FIFO ring of per-slice column reductions (Fig. 8).
-        auto strips =
-            blk.shared().alloc<double>(std::size_t{vgpu::kWarpSize} * wy * kStripVals);
-        auto fifo = blk.shared().alloc<double>(std::size_t{vgpu::kWarpSize} * wz * kStripVals);
+        // Shared memory: the per-warp strip rows of the current slice, plus
+        // the FIFO ring of per-slice column reductions (Fig. 8). Both are
+        // slot-major rows, value v of lane j at [row][v][j].
+        auto strips = blk.shared().alloc<double>(kRowVals * wy);
+        auto fifo = blk.shared().alloc<double>(kRowVals * wz);
 
         auto reg = blk.make_regs<double>(kNumSlots);
         const std::size_t y0 = std::size_t{blk.block_idx().x} * s;
 
-        const auto is_owner_lane = [&](std::uint32_t tidx, std::size_t i) {
-            return tidx % s == 0 && tidx + wx <= vgpu::kWarpSize && i + tidx + wx <= h;
+        // Owner lanes of the sweep at x = i are row 0's lanes ox = 0, s,
+        // 2s, ... below this span (ox + wx <= 32 and i + ox + wx <= h). No
+        // phase reads a lane at or past it, so the emulation computes only
+        // those lanes; every charge stays per owner.
+        const auto owner_span = [&](std::size_t i) {
+            return static_cast<std::uint32_t>(
+                std::min<std::size_t>(vgpu::kWarpSize - wx, h - wx - i) + 1);
         };
+        const auto owners = [&](std::uint32_t span) { return std::uint64_t{(span - 1) / s + 1}; };
 
         // Load slice k, reduce along x via shuffles, stage per-row strips,
         // then fold rows (the shared-memory y reduction) into the FIFO slot.
@@ -94,13 +112,16 @@ Pattern3Result pattern3_ssim_device(vgpu::Device& dev, const vgpu::DeviceBuffer<
             // gathers its row's strided slice column with one charged
             // `ld_lanes` call (same bytes as per-element ld).
             const std::size_t rows = std::min<std::size_t>(vgpu::kWarpSize, h - i);
+            const std::uint32_t span = owner_span(i);
             // Load, ghost-region sharing, and strip staging fused into one
             // warp pass: the wx-window fold only ever reads same-warp lanes
             // (warp w is row w of the block), so each lane's slice values go
             // into a warp-local lane vector and the SIMD strip fold runs the
             // off = 1..wx-1 shifted-lane sequence — the exact fold order of
             // the per-offset shuffle ladder, whose shuffle count is charged
-            // in bulk.
+            // in bulk. The fold writes its strip row straight into shared
+            // memory, for the owner span only: lane j < span reads lanes up
+            // to span + wx - 2 = rows - 1.
             blk.for_each_warp([&](WarpCtx& w) {
                 const std::uint32_t yrow = w.warp_id();
                 const std::size_t y = y0 + yrow;
@@ -114,45 +135,18 @@ Pattern3Result pattern3_ssim_device(vgpu::Device& dev, const vgpu::DeviceBuffer<
                 ddec.ld_lanes(idx0, stride_x, rows, v2);
                 std::fill(v1 + rows, v1 + lanes, 0.0);
                 std::fill(v2 + rows, v2 + lanes, 0.0);
-                double out[std::size_t{kStripVals} * vgpu::kWarpSize];
-                lane_ops.p3_strip_fold(v1, v2, lanes, wx, out);
-                double* srow = strips.st_bulk(std::size_t{yrow} * vgpu::kWarpSize * kStripVals,
-                                              std::size_t{lanes} * kStripVals);
-                for (std::uint32_t ln = 0; ln < lanes; ++ln) {
-                    double* sp = srow + std::size_t{ln} * kStripVals;
-                    for (std::uint32_t v = 0; v < kStripVals; ++v) {
-                        sp[v] = out[std::size_t{v} * vgpu::kWarpSize + ln];
-                    }
-                }
+                lane_ops.p3_strip_fold(
+                    v1, v2, lanes, wx, span,
+                    strips.st_bulk(std::size_t{yrow} * kRowVals, std::size_t{lanes} * kStripVals));
             });
             blk.add_iters(blk.num_threads());
             blk.add_ops((std::uint64_t{wx - 1} * 12 + 8) * blk.num_threads());
-            // y reduction: row 0's owner lanes fold the wy rows of their
-            // column and deposit the per-slice result into the FIFO ring.
-            // Only those lanes do work, so iterate them directly instead of
-            // scanning the whole block (per-owner charges are unchanged).
-            for (std::uint32_t ox = 0; ox + wx <= vgpu::kWarpSize; ox += s) {
-                if (!is_owner_lane(ox, i)) continue;
-                constexpr double kInf = std::numeric_limits<double>::infinity();
-                double col[kStripVals] = {kInf, -kInf, 0.0, 0.0, kInf, -kInf, 0.0, 0.0, 0.0};
-                const double* sp = strips.ld_footprint(std::size_t{wy} * kStripVals);
-                for (std::uint32_t r = 0; r < wy; ++r) {
-                    const double* row =
-                        sp + (std::size_t{r} * vgpu::kWarpSize + ox) * kStripVals;
-                    col[0] = std::min(col[0], row[0]);
-                    col[1] = std::max(col[1], row[1]);
-                    col[2] += row[2];
-                    col[3] += row[3];
-                    col[4] = std::min(col[4], row[4]);
-                    col[5] = std::max(col[5], row[5]);
-                    col[6] += row[6];
-                    col[7] += row[7];
-                    col[8] += row[8];
-                }
-                double* fp = fifo.st_bulk(
-                    (std::size_t{fifo_slot} * vgpu::kWarpSize + ox) * kStripVals, kStripVals);
-                for (std::uint32_t v = 0; v < kStripVals; ++v) fp[v] = col[v];
-            }
+            // y reduction: row 0's owner lanes each fold the wy strip rows
+            // of their column (wy*9 loads) and deposit the per-slice result
+            // into the FIFO ring (9 stores).
+            const std::uint64_t n_own = owners(span);
+            lane_ops.p3_fold_rows(strips.ld_charge(n_own * wy * kStripVals), wy, span,
+                                  fifo.st_charge(n_own * kStripVals) + fifo_slot * kRowVals);
             // Divergence cost: only row 0's owner lanes execute the fold,
             // but the __syncthreads bracketing the phase keeps every warp
             // of the block resident and idle — charge whole-block slots.
@@ -161,32 +155,19 @@ Pattern3Result pattern3_ssim_device(vgpu::Device& dev, const vgpu::DeviceBuffer<
 
         // Fold the FIFO ring into full-window sums and mix the local SSIM.
         const auto fold_windows = [&](std::size_t i) {
-            // As in the y reduction, only row 0's owner lanes participate
-            // (lane ox is linear thread ox); iterate them directly.
-            for (std::uint32_t ox = 0; ox + wx <= vgpu::kWarpSize; ox += s) {
-                if (!is_owner_lane(ox, i)) continue;
-                zc::WindowSums a{}, b{};
-                zc::WindowCross c{};
-                a.min = std::numeric_limits<double>::infinity();
-                a.max = -a.min;
-                b.min = a.min;
-                b.max = a.max;
-                const double* fp = fifo.ld_footprint(std::size_t{wz} * kStripVals);
-                for (std::uint32_t slot = 0; slot < wz; ++slot) {
-                    const double* ring =
-                        fp + (std::size_t{slot} * vgpu::kWarpSize + ox) * kStripVals;
-                    a.min = std::min(a.min, ring[0]);
-                    a.max = std::max(a.max, ring[1]);
-                    a.sum += ring[2];
-                    a.sum_sq += ring[3];
-                    b.min = std::min(b.min, ring[4]);
-                    b.max = std::max(b.max, ring[5]);
-                    b.sum += ring[6];
-                    b.sum_sq += ring[7];
-                    c.sum_xy += ring[8];
-                }
-                reg.at(ox, kSsimSum) +=
-                    zc::mix_local_ssim(a, b, c, std::size_t{wx} * wy * wz);
+            // Each owner lane folds the wz FIFO slots of its column (wz*9
+            // loads); lane ox is linear thread ox of row 0.
+            const std::uint32_t span = owner_span(i);
+            double win[kRowVals];
+            lane_ops.p3_fold_rows(fifo.ld_charge(owners(span) * wz * kStripVals), wz, span, win);
+            for (std::uint32_t ox = 0; ox < span; ox += s) {
+                const auto at = [&](std::uint32_t v) {
+                    return win[std::size_t{v} * vgpu::kWarpSize + ox];
+                };
+                const zc::WindowSums a{at(0), at(1), at(2), at(3)};
+                const zc::WindowSums b{at(4), at(5), at(6), at(7)};
+                const zc::WindowCross c{at(8)};
+                reg.at(ox, kSsimSum) += zc::mix_local_ssim(a, b, c, std::size_t{wx} * wy * wz);
                 reg.at(ox, kWinCount) += 1.0;
             }
             // Same block-slot charging as the y reduction: the FIFO fold and

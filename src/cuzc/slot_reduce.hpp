@@ -44,6 +44,13 @@ enum class SlotOp { kSum, kMin, kMax };
     return vgpu::lane_reduce_sum(lanes, n);
 }
 
+/// Shared-memory doubles `block_reduce_slots` allocates for `nslots` slots
+/// of a block with `nwarps` warps (one partial per warp and slot).
+[[nodiscard]] constexpr std::size_t block_reduce_shared_vals(std::uint32_t nslots,
+                                                             std::uint32_t nwarps) noexcept {
+    return std::size_t{nslots} * nwarps;
+}
+
 /// Block-level reduction of a multi-slot per-thread accumulator: warp-tree
 /// reduction within each warp, per-warp partials staged through shared
 /// memory, final tree reduction on warp 0 (Algorithm 1 ln. 7-16). After
@@ -68,7 +75,7 @@ void block_reduce_slots(vgpu::BlockCtx& blk, vgpu::RegArray<double>& acc, std::u
             acc.at(base, slot) = lane_reduce_slot(op_of(slot), buf, lanes);
         }
     });
-    auto warp_out = blk.shared().alloc<double>(std::size_t{nslots} * blk.num_warps());
+    auto warp_out = blk.shared().alloc<double>(block_reduce_shared_vals(nslots, blk.num_warps()));
     blk.for_each_thread([&](vgpu::ThreadCtx& t) {
         if (t.lane == 0) {
             double* wp = warp_out.st_bulk(std::size_t{t.warp} * nslots, nslots);

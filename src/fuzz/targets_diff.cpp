@@ -135,7 +135,9 @@ struct BackendGuard {
 
 void simd_diff_iterate(std::uint64_t seed, std::uint64_t iter) {
     Rng rng(mix_seed(seed, iter, 0x73696d64));  // "simd"
-    const zc::Dims3 dims{rng.range(2, 5), rng.range(2, 5), rng.range(2, 8)};
+    // x up to 70 gives pattern 3 a second and a partial third 32-lane
+    // sweep; small y and z keep each iteration cheap.
+    const zc::Dims3 dims{rng.range(2, 70), rng.range(2, 5), rng.range(2, 8)};
     const zc::Field orig = random_field(rng, dims);
     zc::Field dec = orig;
     for (float& v : dec.data()) {
@@ -143,7 +145,8 @@ void simd_diff_iterate(std::uint64_t seed, std::uint64_t iter) {
     }
     zc::MetricsConfig cfg;
     cfg.pdf_bins = static_cast<int>(rng.range(2, 32));
-    cfg.ssim_window = static_cast<int>(rng.range(2, 4));
+    cfg.ssim_window = static_cast<int>(rng.range(1, 10));
+    cfg.ssim_step = static_cast<int>(rng.range(1, 4));
 
     BackendGuard guard;
     if (!vgpu::simd::force_backend(vgpu::simd::Backend::kScalar)) {

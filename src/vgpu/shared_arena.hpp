@@ -81,11 +81,20 @@ private:
     std::uint64_t* wr_;
 };
 
+/// Reports an allocation past a SharedArena's capacity on stderr and
+/// aborts the process. Out of line so that each `alloc<T>` instantiation
+/// carries only a call: inlined, the cold path grew every kernel's code
+/// and shifted unrelated hot loops of the binary by 48 bytes, which slowed
+/// them measurably.
+[[noreturn]] void shared_arena_overflow(std::size_t n, std::size_t elem_bytes,
+                                        std::size_t offset, std::size_t capacity) noexcept;
+
 /// Per-block shared memory modeled as a bump allocator over a fixed-size
 /// byte arena. Peak allocation is tracked and reported as the block's
 /// shared-memory footprint ("SMem/TB" in the paper's Table II). Exceeding
-/// the device's per-block carve-out is a programming error (assert), exactly
-/// as an oversized launch would fail on real hardware.
+/// the device's per-block carve-out is a programming error that aborts the
+/// process in every build type, as an oversized launch fails on real
+/// hardware instead of running.
 ///
 /// Arenas are pooled: the execution engine keeps one per worker (plus one
 /// per resident block for cooperative launches) and recycles it with
@@ -101,9 +110,13 @@ public:
     [[nodiscard]] SharedArray<T> alloc(std::size_t n) {
         const std::size_t align = alignof(T);
         offset_ = (offset_ + align - 1) / align * align;
+        if (offset_ > storage_.size() || n > (storage_.size() - offset_) / sizeof(T)) {
+            // Checked in every build type: past this point the kernel would
+            // write beyond the arena. Kernels size their requests against
+            // DeviceProps::smem_per_block before launching.
+            shared_arena_overflow(n, sizeof(T), offset_, storage_.size());
+        }
         const std::size_t bytes = n * sizeof(T);
-        assert(offset_ + bytes <= storage_.size() &&
-               "shared memory allocation exceeds per-block capacity");
         T* p = reinterpret_cast<T*>(storage_.data() + offset_);
         offset_ += bytes;
         peak_ = offset_ > peak_ ? offset_ : peak_;

@@ -32,9 +32,16 @@ enum P1Slot : std::uint32_t {
     kP1NumSlots,
 };
 
-/// Strip-value order of `Ops::p3_strip_fold` (matches pattern3's
-/// kStripBase..kCross slot window).
+/// Pattern-3 strip values per lane, in the order min1 max1 sum1 sumsq1
+/// min2 max2 sum2 sumsq2 cross (matches pattern3's kStripBase..kCross slot
+/// window).
 inline constexpr std::uint32_t kP3StripVals = 9;
+/// Lane stride of the pattern-3 slot-major rows: value s of lane j of one
+/// row sits at row[s * kP3Lanes + j].
+inline constexpr std::uint32_t kP3Lanes = 32;
+/// Doubles in one pattern-3 slot-major row (one warp's strip of a slice,
+/// or one FIFO slot); consecutive rows are this far apart.
+inline constexpr std::size_t kP3RowVals = std::size_t{kP3StripVals} * kP3Lanes;
 
 /// Argument block of the fused pattern-2 derivative-row primitive: one
 /// row (fixed x) of interior lanes varying along y. Neighbour rows are
@@ -108,11 +115,20 @@ struct Ops {
     /// every P1Slot in enum order.
     void (*p1_update)(const float* po, const float* pd, std::size_t stride, double eps,
                       double* acc, std::size_t acc_stride, std::uint32_t n);
-    /// Pattern-3 SSIM x-strip fold: windows of width wx over the lane
-    /// vectors v1/v2 (out-of-range sources clamp to the lane's own value,
-    /// as shfl_down does). out is slot-major [kP3StripVals][32].
+    /// Pattern-3 SSIM x-strip fold of lanes [0, n): lane j folds the window
+    /// v[j], v[j+1], ..., v[j+wx-1] of the lane vectors v1/v2 in that
+    /// order; a source at or past `lanes` clamps to lane j's own value, as
+    /// shfl_down does. out is one slot-major row (see kP3Lanes); lanes >= n
+    /// are not written. Requires n <= lanes <= kP3Lanes.
     void (*p3_strip_fold)(const double* v1, const double* v2, std::uint32_t lanes,
-                          std::uint32_t wx, double* out);
+                          std::uint32_t wx, std::uint32_t n, double* out);
+    /// Pattern-3 row fold of lanes [0, n): reduces `rows` consecutive
+    /// slot-major rows of `in` into the one row `out`, per lane in row
+    /// order from the identities +inf (min slots), -inf (max slots) and
+    /// 0.0 (sums), with min/max as op(row, acc) and sums as acc + row.
+    /// Serves both the y reduction (strip rows) and the window fold (FIFO
+    /// slots). Lanes >= n of `out` are not written.
+    void (*p3_fold_rows)(const double* in, std::uint32_t rows, std::uint32_t n, double* out);
     void (*p2_deriv_row)(const P2DerivRow& a);
     /// acc[j] += ((cur[j] * nb) * scale) with nb = 0.0 (+ xnb[j]-mean)
     /// (+ ynb[j]-mean); null neighbour pointers skip their term.

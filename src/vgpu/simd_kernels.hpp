@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "simd.hpp"
 
@@ -34,6 +35,68 @@ namespace cuzc::vgpu::simd::detail {
     const double ax = s_sel_abs(x);
     return (y - x) / s_max(ax, eps);
 }
+
+/// One lane with the scalar reference semantics behind the vector trait's
+/// interface, so a kernel's scalar tail can run the same code as its
+/// vector body.
+struct ScalarLane {
+    static constexpr std::size_t W = 1;
+    using reg = double;
+    static reg loadu(const double* p) noexcept { return *p; }
+    static void storeu(double* p, reg v) noexcept { *p = v; }
+    static reg bcast(double v) noexcept { return v; }
+    static reg add(reg a, reg b) noexcept { return a + b; }
+    static reg mul(reg a, reg b) noexcept { return a * b; }
+    static reg vmin(reg a, reg b) noexcept { return s_min(a, b); }
+    static reg vmax(reg a, reg b) noexcept { return s_max(a, b); }
+};
+
+/// The nine pattern-3 accumulators of one chunk of T::W lanes, in
+/// kP3StripVals order (min1 max1 sum1 sumsq1 min2 max2 sum2 sumsq2 cross),
+/// held in registers for the whole fold.
+template <class T>
+struct P3Acc {
+    using R = typename T::reg;
+    R v[kP3StripVals];
+
+    /// Window start: the lane's own values.
+    [[nodiscard]] static P3Acc window(R d1, R d2) noexcept {
+        return {{d1, d1, d1, T::mul(d1, d1), d2, d2, d2, T::mul(d2, d2), T::mul(d1, d2)}};
+    }
+    /// Row-fold identities: +inf for the min slots, -inf for max, 0.0 for sums.
+    [[nodiscard]] static P3Acc rows() noexcept {
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        const R inf = T::bcast(kInf), ninf = T::bcast(-kInf), zero = T::bcast(0.0);
+        return {{inf, ninf, zero, zero, inf, ninf, zero, zero, zero}};
+    }
+    /// One more element of the x window.
+    void fold_window(R g1, R g2) noexcept {
+        v[0] = T::vmin(g1, v[0]);
+        v[1] = T::vmax(g1, v[1]);
+        v[2] = T::add(v[2], g1);
+        v[3] = T::add(v[3], T::mul(g1, g1));
+        v[4] = T::vmin(g2, v[4]);
+        v[5] = T::vmax(g2, v[5]);
+        v[6] = T::add(v[6], g2);
+        v[7] = T::add(v[7], T::mul(g2, g2));
+        v[8] = T::add(v[8], T::mul(g1, g2));
+    }
+    /// One reduced row whose slot s sits at p[s * kP3Lanes].
+    void fold_row(const double* p) noexcept {
+        v[0] = T::vmin(T::loadu(p + 0 * kP3Lanes), v[0]);
+        v[1] = T::vmax(T::loadu(p + 1 * kP3Lanes), v[1]);
+        v[2] = T::add(v[2], T::loadu(p + 2 * kP3Lanes));
+        v[3] = T::add(v[3], T::loadu(p + 3 * kP3Lanes));
+        v[4] = T::vmin(T::loadu(p + 4 * kP3Lanes), v[4]);
+        v[5] = T::vmax(T::loadu(p + 5 * kP3Lanes), v[5]);
+        v[6] = T::add(v[6], T::loadu(p + 6 * kP3Lanes));
+        v[7] = T::add(v[7], T::loadu(p + 7 * kP3Lanes));
+        v[8] = T::add(v[8], T::loadu(p + 8 * kP3Lanes));
+    }
+    void store(double* p) const noexcept {
+        for (std::uint32_t s = 0; s < kP3StripVals; ++s) T::storeu(p + s * kP3Lanes, v[s]);
+    }
+};
 
 template <class V>
 struct Kernels {
@@ -297,68 +360,43 @@ struct Kernels {
         }
     }
 
-    static void p3_strip_fold(const double* v1, const double* v2, std::uint32_t lanes,
-                              std::uint32_t wx, double* out) {
-        // out slot order: min1 max1 sum1 sumsq1 min2 max2 sum2 sumsq2 cross.
-        double* mn1 = out + 0 * 32;
-        double* mx1 = out + 1 * 32;
-        double* s1 = out + 2 * 32;
-        double* ss1 = out + 3 * 32;
-        double* mn2 = out + 4 * 32;
-        double* mx2 = out + 5 * 32;
-        double* s2 = out + 6 * 32;
-        double* ss2 = out + 7 * 32;
-        double* cr = out + 8 * 32;
-        for (std::uint32_t ln = 0; ln < lanes; ++ln) {
-            const double d1 = v1[ln], d2 = v2[ln];
-            mn1[ln] = d1;
-            mx1[ln] = d1;
-            s1[ln] = d1;
-            ss1[ln] = d1 * d1;
-            mn2[ln] = d2;
-            mx2[ln] = d2;
-            s2[ln] = d2;
-            ss2[ln] = d2 * d2;
-            cr[ln] = d1 * d2;
-        }
-        double g1s[32], g2s[32];
+    /// Lanes [j, j + T::W) of p3_strip_fold. A source at or past `lanes`
+    /// clamps to the lane itself; vector chunks only run where every source
+    /// is in range, so the clamp is per chunk.
+    template <class T>
+    static void p3_strip_chunk(const double* v1, const double* v2, std::uint32_t lanes,
+                               std::uint32_t wx, std::uint32_t j, double* out) {
+        auto a = P3Acc<T>::window(T::loadu(v1 + j), T::loadu(v2 + j));
         for (std::uint32_t off = 1; off < wx; ++off) {
-            // Shifted lane vectors: out-of-range sources keep the lane's own
-            // value, exactly as shfl_down does.
-            const std::uint32_t shifted = lanes > off ? lanes - off : 0;
-            std::memcpy(g1s, v1 + off, shifted * sizeof(double));
-            std::memcpy(g2s, v2 + off, shifted * sizeof(double));
-            for (std::uint32_t ln = shifted; ln < lanes; ++ln) {
-                g1s[ln] = v1[ln];
-                g2s[ln] = v2[ln];
-            }
-            std::uint32_t ln = 0;
-            for (; ln + W <= lanes; ln += W) {
-                const reg g1 = V::loadu(g1s + ln);
-                const reg g2 = V::loadu(g2s + ln);
-                V::storeu(mn1 + ln, V::vmin(g1, V::loadu(mn1 + ln)));
-                V::storeu(mx1 + ln, V::vmax(g1, V::loadu(mx1 + ln)));
-                V::storeu(s1 + ln, V::add(V::loadu(s1 + ln), g1));
-                V::storeu(ss1 + ln, V::add(V::loadu(ss1 + ln), V::mul(g1, g1)));
-                V::storeu(mn2 + ln, V::vmin(g2, V::loadu(mn2 + ln)));
-                V::storeu(mx2 + ln, V::vmax(g2, V::loadu(mx2 + ln)));
-                V::storeu(s2 + ln, V::add(V::loadu(s2 + ln), g2));
-                V::storeu(ss2 + ln, V::add(V::loadu(ss2 + ln), V::mul(g2, g2)));
-                V::storeu(cr + ln, V::add(V::loadu(cr + ln), V::mul(g1, g2)));
-            }
-            for (; ln < lanes; ++ln) {
-                const double g1 = g1s[ln], g2 = g2s[ln];
-                mn1[ln] = s_min(g1, mn1[ln]);
-                mx1[ln] = s_max(g1, mx1[ln]);
-                s1[ln] += g1;
-                ss1[ln] += g1 * g1;
-                mn2[ln] = s_min(g2, mn2[ln]);
-                mx2[ln] = s_max(g2, mx2[ln]);
-                s2[ln] += g2;
-                ss2[ln] += g2 * g2;
-                cr[ln] += g1 * g2;
-            }
+            const std::uint32_t src = j + off + T::W <= lanes ? j + off : j;
+            a.fold_window(T::loadu(v1 + src), T::loadu(v2 + src));
         }
+        a.store(out + j);
+    }
+
+    static void p3_strip_fold(const double* v1, const double* v2, std::uint32_t lanes,
+                              std::uint32_t wx, std::uint32_t n, double* out) {
+        std::uint32_t j = 0;
+        for (; j + W <= n && j + W + wx - 1 <= lanes; j += W) {
+            p3_strip_chunk<V>(v1, v2, lanes, wx, j, out);
+        }
+        for (; j < n; ++j) p3_strip_chunk<ScalarLane>(v1, v2, lanes, wx, j, out);
+    }
+
+    /// Lanes [j, j + T::W) of p3_fold_rows.
+    template <class T>
+    static void p3_fold_chunk(const double* in, std::uint32_t rows, std::uint32_t j,
+                              double* out) {
+        auto a = P3Acc<T>::rows();
+        for (std::uint32_t r = 0; r < rows; ++r) a.fold_row(in + r * kP3RowVals + j);
+        a.store(out + j);
+    }
+
+    static void p3_fold_rows(const double* in, std::uint32_t rows, std::uint32_t n,
+                             double* out) {
+        std::uint32_t j = 0;
+        for (; j + W <= n; j += W) p3_fold_chunk<V>(in, rows, j, out);
+        for (; j < n; ++j) p3_fold_chunk<ScalarLane>(in, rows, j, out);
     }
 
     static void p2_deriv_row(const P2DerivRow& a) {
@@ -578,6 +616,7 @@ template <class V>
     t.pdf_bins = &K::pdf_bins;
     t.p1_update = &K::p1_update;
     t.p3_strip_fold = &K::p3_strip_fold;
+    t.p3_fold_rows = &K::p3_fold_rows;
     t.p2_deriv_row = &K::p2_deriv_row;
     t.p2_lag_xy = &K::p2_lag_xy;
     t.p2_lag_z = &K::p2_lag_z;

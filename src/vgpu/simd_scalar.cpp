@@ -37,21 +37,14 @@ struct VecI32 {
     static void storeu(std::int32_t* p, reg v) noexcept { *p = v; }
 };
 
-struct VecF64 {
-    static constexpr std::size_t W = 1;
-    using reg = double;
+// W, reg, loadu/storeu, bcast, add, mul, vmin/vmax: the one-lane reference
+// trait every backend's scalar tails also use.
+struct VecF64 : detail::ScalarLane {
     using f32 = VecF32;
     using i32 = VecI32;
-    static reg loadu(const double* p) noexcept { return *p; }
-    static void storeu(double* p, reg v) noexcept { *p = v; }
-    static reg bcast(double v) noexcept { return v; }
-    static reg add(reg a, reg b) noexcept { return a + b; }
     static reg sub(reg a, reg b) noexcept { return a - b; }
-    static reg mul(reg a, reg b) noexcept { return a * b; }
     static reg div(reg a, reg b) noexcept { return a / b; }
     static reg sqrt(reg a) noexcept { return std::sqrt(a); }
-    static reg vmin(reg a, reg b) noexcept { return detail::s_min(a, b); }
-    static reg vmax(reg a, reg b) noexcept { return detail::s_max(a, b); }
     static reg abs(reg a) noexcept { return std::fabs(a); }
     static reg sel_abs(reg a) noexcept { return detail::s_sel_abs(a); }
     static reg cvt_f32(const float* p) noexcept { return static_cast<double>(*p); }

@@ -318,6 +318,26 @@ TEST(NetServer, LoopbackAssessMatchesDirectBitForBit) {
     client.close();
 }
 
+TEST(NetServer, OversizedSsimWindowIsAnsweredWithoutSsim) {
+    // The wire accepts SSIM windows far beyond what the pattern-3 kernel's
+    // shared memory holds; the server must answer with the other metrics
+    // (and the same report as a direct assess) instead of overrunning it.
+    net::NetServer server(loopback_config());
+    server.start();
+    net::NetClient client(client_config(server.port()));
+
+    serve::AssessRequest req;
+    req.orig = tst::smooth_field({32, 32, 32}, 12);
+    req.dec = tst::perturbed(req.orig, 0.01, 112);
+    req.cfg.ssim_window = 12;
+    const zc::AssessmentReport expected = direct_report(req);
+    const auto resp = client.assess(req);
+    EXPECT_FALSE(resp.rejected) << resp.error;
+    EXPECT_EQ(resp.result.report.ssim.windows, 0u);
+    EXPECT_EQ(net::encode_report(resp.result.report), net::encode_report(expected));
+    client.close();
+}
+
 TEST(NetServer, PipelinedRequestsSettleOutOfOrderWaits) {
     net::NetServer server(loopback_config());
     server.start();

@@ -174,11 +174,51 @@ TEST(Classify, DrivesTheCoordinator) {
 }
 
 TEST(Pattern3Sweep, OversizedWindowReturnsEmpty) {
-    Fields f({64, 8, 8});
+    const auto expect_empty = [](zc::Dims3 dims, int window) {
+        SCOPED_TRACE("window " + std::to_string(window) + " on " + std::to_string(dims.h) + "x" +
+                     std::to_string(dims.w) + "x" + std::to_string(dims.l));
+        Fields f(dims);
+        zc::MetricsConfig cfg;
+        cfg.ssim_window = window;
+        const auto r = czc::pattern3_ssim_device(f.dev, *f.d_orig, *f.d_dec, f.orig.dims(), cfg);
+        EXPECT_EQ(r.report.windows, 0u);
+        EXPECT_EQ(r.report.ssim, 0.0);
+        EXPECT_EQ(r.stats.launches, 0u);  // refused before launch
+        EXPECT_EQ(f.dev.profiler().launch_count(), 0u);
+    };
+    expect_empty({64, 8, 8}, 40);  // effective x window 40 > warp size
+    // x fits a warp, but the strip rows plus the FIFO ring outgrow the
+    // 48 KiB per-block shared memory (window 10 needs 47,120 B).
+    for (const int window : {11, 12, 16}) expect_empty({32, 32, 32}, window);
+    expect_empty({8, 32, 32}, 12);  // x clamps to 8; y and z alone overflow
+}
+
+TEST(Pattern3Sweep, LargestCubeWindowFillsSharedMemory) {
+    Fields f({32, 32, 32});
     zc::MetricsConfig cfg;
-    cfg.ssim_window = 40;  // effective x window 40 > warp size
+    cfg.ssim_window = 10;
     const auto r = czc::pattern3_ssim_device(f.dev, *f.d_orig, *f.d_dec, f.orig.dims(), cfg);
-    EXPECT_EQ(r.report.windows, 0u);
+    const auto ref = zc::ssim3d(f.orig.view(), f.dec.view(), 10, 1);
+    EXPECT_EQ(r.report.windows, ref.windows);
+    tst::expect_close(ref.ssim, r.report.ssim, 1e-9, "window 10");
+    // Strip rows + FIFO ring (2 * 32 lanes * 10 * 9 doubles) + the block
+    // reduction's 13 slots x 10 warps.
+    EXPECT_EQ(r.stats.smem_per_block, 47'120u);
+    EXPECT_LE(r.stats.smem_per_block, f.dev.props().smem_per_block);
+}
+
+TEST(Pattern3Sweep, OversizedWindowThroughAssessKeepsOtherPatterns) {
+    Fields f({32, 32, 32});
+    for (int window = 11; window <= 16; ++window) {
+        zc::MetricsConfig cfg;
+        cfg.ssim_window = window;
+        vgpu::Device dev;
+        const auto r = czc::assess(dev, f.orig.view(), f.dec.view(), cfg);
+        EXPECT_EQ(r.report.ssim.windows, 0u) << window;
+        EXPECT_EQ(r.pattern3.launches, 0u) << window;
+        EXPECT_EQ(r.pattern1.launches, 1u) << window;
+        EXPECT_GT(r.report.reduction.psnr_db, 0.0) << window;
+    }
 }
 
 }  // namespace

@@ -60,6 +60,18 @@ TEST(VgpuSharedArena, LoadStoreCounting) {
     EXPECT_EQ(rd, sizeof(float));
 }
 
+TEST(VgpuSharedArenaDeathTest, OverCapacityAllocationAbortsInEveryBuildType) {
+    // The capacity check is not an assert: an NDEBUG build must stop too,
+    // rather than hand out storage past the arena.
+    std::uint64_t rd = 0, wr = 0;
+    SharedArena arena(1024, &rd, &wr);
+    (void)arena.alloc<double>(120);  // 960 bytes
+    EXPECT_DEATH((void)arena.alloc<double>(9), "exceeds the per-block capacity");
+    EXPECT_DEATH((void)arena.alloc<double>(std::size_t{1} << 62), "exceeds");
+    (void)arena.alloc<double>(8);  // exactly full is fine
+    EXPECT_EQ(arena.peak_bytes(), 1024u);
+}
+
 TEST(VgpuRegArray, MultiSlotPerThreadState) {
     RegArray<double> regs(4, 3, -1.0);
     for (std::uint32_t t = 0; t < 4; ++t) {
