@@ -9,6 +9,10 @@
 // per-(dataset, scale, kernel) "stats" row shape as bench_vgpu_wallclock,
 // so tools/check_bench_stats.py can gate counter drift on this output too.
 //
+// Both backends run on one block worker (recorded as "block_workers" in
+// the banner and the JSON): the ratio measures the lane engine, not how a
+// grid spreads over host threads, which bench_vgpu_wallclock measures.
+//
 // Usage: bench_simd_speedup [--scales=8] [--repeats=3] [--out=PATH] [--check]
 //   --check additionally requires the aggregate pattern-1 speedup to reach
 //   1.4x (skipped when the host has no vector backend).
@@ -146,8 +150,11 @@ int main(int argc, char** argv) {
 
     const simd::Backend best = simd::available_backends().front();
     const bool has_vector = best != simd::Backend::kScalar;
-    std::fprintf(stderr, "bench_simd_speedup: %s; best=%s\n", simd::banner().c_str(),
-                 simd::backend_name(best));
+    vgpu::BlockScheduler& sched = vgpu::BlockScheduler::instance();
+    sched.set_num_threads(1);
+    const std::size_t block_workers = sched.max_workers();
+    std::fprintf(stderr, "bench_simd_speedup: %s; best=%s; block_workers=%zu\n",
+                 simd::banner().c_str(), simd::backend_name(best), block_workers);
 
     const zc::MetricsConfig mcfg;
     std::vector<Sample> samples;
@@ -220,6 +227,7 @@ int main(int argc, char** argv) {
     std::ostringstream os;
     os << "{\n  \"schema\": \"cuzc-simd-speedup-v1\",\n";
     os << "  \"backend\": \"" << simd::backend_name(best) << "\",\n";
+    os << "  \"block_workers\": " << block_workers << ",\n";
     os << "  \"results\": [\n";
     // Aggregate speedups as the geometric mean of the per-dataset ratios —
     // the standard cross-benchmark aggregate; a ratio of summed times would

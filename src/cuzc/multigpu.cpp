@@ -140,6 +140,11 @@ MultiGpuResult assess_multigpu(std::span<vgpu::Device* const> devices, const zc:
     if (num_dev == 0 || orig.size() == 0 || orig.size() != dec.size()) return result;
     const zc::Dims3 dims = orig.dims();
     const bool p1 = cfg.pattern1, p2 = cfg.pattern2, p3 = cfg.pattern3;
+    // Histograms that overflow a block's shared memory are left out on every
+    // device, exactly as a single-device launch leaves them out.
+    const bool p1_hist = p1 && std::all_of(devices.begin(), devices.end(), [&](vgpu::Device* dv) {
+                             return pattern1_histograms_fit(dv->props(), cfg.pdf_bins);
+                         });
 
     std::vector<std::size_t> record_start(num_dev);
     for (std::size_t d = 0; d < num_dev; ++d) {
@@ -285,7 +290,7 @@ MultiGpuResult assess_multigpu(std::span<vgpu::Device* const> devices, const zc:
     };
 
     const auto stage_b = [&](std::size_t d) {
-        if (tasks[d].z_active && p1) run_stage(d, [&] { stage_hist(d); });
+        if (tasks[d].z_active && p1_hist) run_stage(d, [&] { stage_hist(d); });
         if (tasks[d].z_active && p2) run_stage(d, [&] { stage_p2(d); });
         if (tasks[d].y_active) run_stage(d, [&] { stage_p3(d); });
     };
@@ -322,7 +327,7 @@ MultiGpuResult assess_multigpu(std::span<vgpu::Device* const> devices, const zc:
     }
 
     // ---- Deterministic merges, ascending device order.
-    if (p1) {
+    if (p1_hist) {
         const int bins = std::max(1, cfg.pdf_bins);
         std::vector<double> hist(static_cast<std::size_t>(bins) * 3, 0.0);
         for (std::size_t d = 0; d < num_dev; ++d) {

@@ -67,7 +67,24 @@ double combine(std::uint32_t slot, double a, double b) {
     return slot_combine(op_of_slot(slot), a, b);
 }
 
+// Block shape of the fused kernel: warp ty walks the j axis, lanes the i axis.
+constexpr std::uint32_t kBlockX = 32;
+constexpr std::uint32_t kBlockY = 8;
+
+/// Shared bytes of the busiest block of a full launch. Cooperative blocks
+/// keep their arena for the whole launch, so block 0 still holds the
+/// per-warp partials of both block reductions (phases 1 and 2) when the
+/// histogram phase allocates its 3 * bins counts.
+std::uint64_t shared_footprint(int bins) noexcept {
+    const std::uint64_t partials = 2 * block_reduce_shared_vals(kNumSlots, kBlockY);
+    return sizeof(double) * (partials + 3 * static_cast<std::uint64_t>(bins));
+}
+
 }  // namespace
+
+bool pattern1_histograms_fit(const vgpu::DeviceProps& props, int pdf_bins) noexcept {
+    return shared_footprint(std::max(1, pdf_bins)) <= props.smem_per_block;
+}
 
 Pattern1Result pattern1_fused_device(vgpu::Device& dev, const vgpu::DeviceBuffer<float>& d_orig,
                                      const vgpu::DeviceBuffer<float>& d_dec, const zc::Dims3& dims,
@@ -81,14 +98,18 @@ Pattern1Result pattern1_fused_device(vgpu::Device& dev, const vgpu::DeviceBuffer
     if (n == 0) return result;
     const int bins = std::max(1, cfg.pdf_bins);
     const double pwr_eps = cfg.pwr_eps;
+    // Histograms whose block-local counts overflow shared memory are left
+    // out, like SSIM windows that do not fit: the reductions still run and
+    // the report carries empty PDFs with entropy 0.
+    const bool histograms = opt.histograms && pattern1_histograms_fit(dev.props(), bins);
 
     vgpu::DeviceBuffer<double> d_part(dev, zn * kNumSlots);
     vgpu::DeviceBuffer<double> d_final(dev, kNumSlots);
-    vgpu::DeviceBuffer<double> d_hist(dev, static_cast<std::size_t>(bins) * 3);
+    vgpu::DeviceBuffer<double> d_hist(dev, histograms ? static_cast<std::size_t>(bins) * 3 : 0);
     d_hist.fill(0.0);
 
     const vgpu::LaunchConfig cfg1{"cuzc/pattern1", vgpu::Dim3{static_cast<std::uint32_t>(zn), 1, 1},
-                                  vgpu::Dim3{32, 8, 1}};
+                                  vgpu::Dim3{kBlockX, kBlockY, 1}};
 
     // Phase 1 (Alg. 1 ln. 4-16): per-slice fused reductions.
     vgpu::CoopPhase phase_slice = [&](Launch& lnch, BlockCtx& blk) {
@@ -191,9 +212,7 @@ Pattern1Result pattern1_fused_device(vgpu::Device& dev, const vgpu::DeviceBuffer
 
     // Phase 3: histogram fill, binning against the phase-2 min/max. Each
     // block builds its slice's local histograms in shared memory, then
-    // folds them into the global ones (atomicAdd on real hardware; block
-    // execution is serialized in the virtual runtime, so plain RMW has the
-    // same semantics).
+    // folds them into the global ones with atomicAdd.
     vgpu::CoopPhase phase_hist = [&](Launch& lnch, BlockCtx& blk) {
         auto dorig = lnch.span(d_orig);
         auto ddec = lnch.span(d_dec);
@@ -270,16 +289,14 @@ Pattern1Result pattern1_fused_device(vgpu::Device& dev, const vgpu::DeviceBuffer
             blk.add_iters(iters);
             blk.add_ops(iters * 12);
         });
-        // Fold the block-local histograms into the global ones (atomicAdd on
-        // hardware; blocks are serialized here, so plain RMW through bulk
-        // windows charges the same bytes as the strided per-element loop).
-        {
-            const std::size_t nb = static_cast<std::size_t>(bins) * 3;
-            const double* lp = local.ld_bulk(0, nb);
-            const double* hr = dhist.ld_bulk(0, nb);
-            double* hw = dhist.st_bulk(0, nb);
-            for (std::size_t b = 0; b < nb; ++b) hw[b] = hr[b] + lp[b];
-        }
+        // Fold the block-local histograms into the global ones. Blocks of a
+        // phase run concurrently, so the fold is an atomicAdd per bin: the
+        // counts are integer-valued doubles, so the sums are exact in any
+        // block order, and each add charges the load + store of the
+        // strided per-element RMW loop.
+        const std::size_t nb = static_cast<std::size_t>(bins) * 3;
+        const double* lp = local.ld_bulk(0, nb);
+        for (std::size_t b = 0; b < nb; ++b) dhist.atomic_add(b, lp[b]);
     };
 
     std::vector<vgpu::CoopPhase> phases;
@@ -287,7 +304,7 @@ Pattern1Result pattern1_fused_device(vgpu::Device& dev, const vgpu::DeviceBuffer
         phases.push_back(phase_slice);
         phases.push_back(phase_final);
     }
-    if (opt.histograms) {
+    if (histograms) {
         assert((opt.reductions || opt.fixed_ranges != nullptr) &&
                "histogram-only launch requires fixed ranges");
         phases.push_back(phase_hist);
@@ -320,7 +337,7 @@ Pattern1Result pattern1_fused_device(vgpu::Device& dev, const vgpu::DeviceBuffer
         zc::finalize_reduction(m, result.report);
     }
 
-    if (opt.histograms) {
+    if (histograms) {
         result.raw_hist = d_hist.download();
         const std::vector<double>& hist = result.raw_hist;
         const double min_err2 = opt.fixed_ranges ? opt.fixed_ranges->min_err : m.min_err;

@@ -52,6 +52,15 @@ inline constexpr double kPattern1Coalescing = 0.62;
 /// Streaming reductions pipeline well; mild stalls at the shuffle ladders.
 inline constexpr double kPattern1Serialization = 1.2;
 
+/// Whether the histogram phase of a full pattern-1 launch fits one block's
+/// shared memory: the per-warp partials of the two block reductions plus
+/// 3 * pdf_bins doubles of block-local counts. On the 48 KiB carve-out the
+/// largest such pdf_bins is 1968. When it does not fit, every launch form
+/// (including the multi-GPU histogram launch, whose blocks hold no
+/// partials) skips the histograms: the report carries empty PDFs and
+/// entropy 0, and the reductions are unaffected.
+[[nodiscard]] bool pattern1_histograms_fit(const vgpu::DeviceProps& props, int pdf_bins) noexcept;
+
 /// The paper's Algorithm 1: one cooperative kernel launch computes every
 /// category-I metric. The grid has one thread block per z-slice; each block
 /// reduces its slice with intra-thread strided loops, warp shuffles, and a

@@ -168,7 +168,11 @@ void encode_report_into(Writer& w, const zc::AssessmentReport& report) {
 
 }  // namespace
 
-std::uint32_t frame_checksum(std::span<const std::uint8_t> bytes) noexcept {
+// Cache-line aligned: the 64-byte round loop runs at a speed that depends
+// on its offset within a cache line, and code size changes elsewhere in the
+// binary moved it. A 32-byte shift made it about 35% slower, which cost the
+// streaming sessions about 15% of their rate.
+[[gnu::aligned(64)]] std::uint32_t frame_checksum(std::span<const std::uint8_t> bytes) noexcept {
     constexpr std::uint64_t kBasis = 14695981039346656037ull;
     constexpr std::uint64_t kPrime = 1099511628211ull;
     std::uint64_t lane[8];

@@ -116,7 +116,9 @@ private:
 
 /// Everything one scheduler worker needs to execute a contiguous range of
 /// blocks: a private counter shard (merged into the launch record at launch
-/// end), a recycled shared-memory arena, and a recycled register slab.
+/// end), a recycled shared-memory arena (cooperative blocks use the pool's
+/// resident-block arenas instead), a recycled register slab, and the
+/// thread-table cache.
 struct WorkerSlot {
     explicit WorkerSlot(std::uint64_t smem_capacity)
         : arena(smem_capacity, nullptr, nullptr) {}
@@ -127,13 +129,13 @@ struct WorkerSlot {
     ThreadTable tids;
 };
 
-/// Per-device pool of execution resources, reused across launches. Worker
-/// slots serve non-cooperative launches (one slot per scheduler worker);
-/// cooperative launches additionally keep one arena per resident block so
-/// shared memory persists across grid-sync phases. Deques keep references
-/// stable while the pool grows. Not thread-safe: slots are created by the
+/// Per-device pool of execution resources, reused across launches. Every
+/// launch runs on worker slots (one per scheduler worker); cooperative
+/// launches additionally keep one arena per resident block so shared memory
+/// persists across grid-sync phases. Deques keep references stable while
+/// the pool grows. Not thread-safe: slots and arenas are created by the
 /// launching thread before workers start, and each worker then touches only
-/// its own slot.
+/// its own slot and the arenas of its own blocks.
 class ExecutionPool {
 public:
     explicit ExecutionPool(std::uint64_t smem_capacity) : smem_(smem_capacity) {}
@@ -148,15 +150,10 @@ public:
         return coop_[block];
     }
 
-    [[nodiscard]] RegSlab& coop_regs() noexcept { return coop_regs_; }
-    [[nodiscard]] ThreadTable& coop_tids() noexcept { return coop_tids_; }
-
 private:
     std::uint64_t smem_;
     std::deque<WorkerSlot> slots_;
     std::deque<SharedArena> coop_;
-    RegSlab coop_regs_;
-    ThreadTable coop_tids_;
 };
 
 }  // namespace cuzc::vgpu

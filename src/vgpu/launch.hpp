@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <barrier>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -23,7 +25,7 @@ struct LaunchConfig {
 
 /// Handle given to a kernel body for binding device buffers; every span it
 /// hands out charges its loads/stores to the executing worker's counter
-/// shard (the launch record itself when execution is serial).
+/// shard.
 class Launch {
 public:
     explicit Launch(KernelStats& stats) noexcept : stats_(&stats) {}
@@ -121,9 +123,18 @@ KernelStats& launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
 /// phases with a grid-wide barrier (`cg::sync(grid)`) between consecutive
 /// phases. All blocks stay resident for the whole launch, so shared memory
 /// persists across phases — the runtime keeps one pooled arena per block
-/// alive until the last phase completes. Cooperative grids execute serially
-/// in block order: resident-grid kernels may (and pattern1's histogram
-/// phase does) perform cross-block read-modify-writes that rely on it.
+/// alive until the last phase completes.
+///
+/// The blocks run on the BlockScheduler in one dispatch: each worker walks
+/// its contiguous block range phase by phase, and a `std::barrier` across
+/// the participating workers stands in for the grid sync, so every write of
+/// phase p happens before any read of phase p + 1. Charges go to the
+/// workers' counter shards, merged in worker order as in `launch`, so the
+/// record is bit-identical for any worker count. Within a phase, blocks run
+/// concurrently: cross-block writes must be disjoint or exact
+/// `DeviceSpan::atomic_add`s, as on hardware. One worker (including under a
+/// SerialScope) runs the same code with a one-party barrier, in block
+/// order. Phases must not throw.
 using CoopPhase = std::function<void(Launch&, BlockCtx&)>;
 
 inline KernelStats& coop_launch(Device& dev, const LaunchConfig& cfg,
@@ -135,27 +146,41 @@ inline KernelStats& coop_launch(Device& dev, const LaunchConfig& cfg,
     stats.blocks = cfg.grid.volume();
     stats.threads_per_block = static_cast<std::uint32_t>(cfg.block.volume());
     stats.grid_syncs = phases.empty() ? 0 : phases.size() - 1;
-    Launch handle(stats);
 
+    const auto nblocks = static_cast<std::size_t>(cfg.grid.x);
     ExecutionPool& pool = dev.exec_pool();
-    for (std::uint32_t bx = 0; bx < cfg.grid.x; ++bx) {
-        pool.coop_arena(bx).begin_block(&stats.shared_bytes_read, &stats.shared_bytes_written);
-    }
+    BlockScheduler& sched = BlockScheduler::instance();
+    const std::size_t workers = sched.plan_workers(nblocks);
+    for (std::size_t w = 0; w < workers; ++w) pool.slot(w).shard.reset_counters();
+    // Grow the resident-block arenas here: workers only look them up.
+    if (nblocks > 0) (void)pool.coop_arena(nblocks - 1);
 
-    const ThreadCtx* tids = pool.coop_tids().get(cfg.block);
-    for (const auto& phase : phases) {
-        for (std::uint32_t bx = 0; bx < cfg.grid.x; ++bx) {
-            pool.coop_regs().reset();
-            BlockCtx blk(stats, dev.props(), cfg.grid, cfg.block, Dim3{bx, 0, 0},
-                         pool.coop_arena(bx), &pool.coop_regs(), tids);
-            phase(handle, blk);
+    std::barrier grid_sync(static_cast<std::ptrdiff_t>(workers));
+    sched.run(nblocks, workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
+        WorkerSlot& slot = pool.slot(w);
+        Launch handle(slot.shard);
+        const ThreadCtx* tids = slot.tids.get(cfg.block);
+        for (std::size_t b = begin; b < end; ++b) {
+            pool.coop_arena(b).begin_block(&slot.shard.shared_bytes_read,
+                                           &slot.shard.shared_bytes_written);
         }
-    }
-    for (std::uint32_t bx = 0; bx < cfg.grid.x; ++bx) {
-        if (pool.coop_arena(bx).peak_bytes() > stats.smem_per_block) {
-            stats.smem_per_block = pool.coop_arena(bx).peak_bytes();
+        for (std::size_t p = 0; p < phases.size(); ++p) {
+            if (p > 0) grid_sync.arrive_and_wait();
+            for (std::size_t b = begin; b < end; ++b) {
+                slot.regs.reset();
+                BlockCtx blk(slot.shard, dev.props(), cfg.grid, cfg.block,
+                             Dim3{static_cast<std::uint32_t>(b), 0, 0}, pool.coop_arena(b),
+                             &slot.regs, tids);
+                phases[p](handle, blk);
+            }
         }
-    }
+        for (std::size_t b = begin; b < end; ++b) {
+            slot.shard.smem_per_block =
+                std::max(slot.shard.smem_per_block, pool.coop_arena(b).peak_bytes());
+        }
+    });
+
+    for (std::size_t w = 0; w < workers; ++w) stats.merge_counters(pool.slot(w).shard);
     return stats;
 }
 

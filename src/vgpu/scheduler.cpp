@@ -4,24 +4,36 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "io/strict_parse.hpp"
+
 namespace cuzc::vgpu {
 
 namespace {
 
+/// CUZC_VGPU_THREADS if it is a positive count in the shared numeric
+/// grammar (io::parse_num), else hardware concurrency. Unset, empty and 0
+/// mean the hardware default; anything else that does not parse ("-1",
+/// " 3", "+2", an overflowing count) is reported on stderr and ignored.
 std::size_t default_workers() {
-    if (const char* s = std::getenv("CUZC_VGPU_THREADS")) {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(s, &end, 10);
-        if (end != s && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
-    }
     const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? hc : 1;
+    const std::size_t fallback = hc > 0 ? hc : 1;
+    const char* s = std::getenv("CUZC_VGPU_THREADS");
+    if (s == nullptr || *s == '\0') return fallback;
+    std::size_t v = 0;
+    if (!io::parse_num(s, v)) {
+        std::fprintf(stderr,
+                     "cuzc: invalid CUZC_VGPU_THREADS=%s (expected a worker count); using %zu\n",
+                     s, fallback);
+        return fallback;
+    }
+    return v > 0 ? v : fallback;
 }
 
 /// True on any thread currently executing a block range — pool workers for

@@ -5,19 +5,23 @@
 
 namespace cuzc::vgpu {
 
-/// Host-side thread pool that executes the independent blocks of a
-/// non-cooperative launch in parallel. CUDA guarantees nothing about block
-/// scheduling beyond independence, so any partition is semantically valid;
-/// this one is chosen to be *deterministic*: the grid is split into
+/// Host-side thread pool that executes the blocks of a launch in parallel,
+/// for plain and cooperative launches alike. CUDA guarantees nothing about
+/// block scheduling beyond independence (and, for a cooperative grid,
+/// co-residency between grid syncs), so any partition is semantically
+/// valid; this one is chosen to be *deterministic*: the grid is split into
 /// contiguous block ranges, one per worker, with a static partition that
 /// depends only on (nblocks, workers). Combined with per-worker counter
 /// shards (all merged fields are commutative sums/maxima) and kernels whose
 /// cross-block global writes are disjoint or exact atomic adds, both the
 /// numerical results and the profiler counts are bit-identical for every
-/// worker count, including 1.
+/// worker count, including 1. All of a `run`'s ranges are in flight at once,
+/// so a range function may wait on the other ranges (cooperative launches
+/// put a barrier between their phases).
 ///
 /// Worker count resolution: `set_num_threads` override, else the
-/// CUZC_VGPU_THREADS environment variable, else hardware concurrency.
+/// CUZC_VGPU_THREADS environment variable (a positive count; an invalid
+/// value is reported on stderr and ignored), else hardware concurrency.
 /// Workers are lazily spawned, persistent, and shared by all devices;
 /// `run` calls are serialized. A `run` issued from inside a worker (nested
 /// launch) degrades to inline serial execution.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cuzc/cuzc.hpp"
 #include "mozc/mozc.hpp"
 #include "test_helpers.hpp"
@@ -64,6 +67,92 @@ TEST(CuzcPattern1, ItersPerThreadMatchesSliceArea) {
     // Two bulk passes over h*w elements spread over 256 threads/block.
     const double expected = 2.0 * 64 * 32 / 256.0;
     EXPECT_NEAR(r.stats.iters_per_thread(), expected, expected * 0.1);
+}
+
+TEST(CuzcPattern1, HistogramsFillSharedMemoryExactlyAt1968Bins) {
+    // Block 0 holds both block reductions' per-warp partials (2 x 960 B)
+    // when the histogram phase allocates 3 * bins doubles: 1968 bins fill
+    // the 48 KiB carve-out to the byte.
+    const vgpu::DeviceProps props;
+    EXPECT_TRUE(czc::pattern1_histograms_fit(props, 1968));
+    EXPECT_FALSE(czc::pattern1_histograms_fit(props, 1969));
+    vgpu::Device dev;
+    const auto f = make({20, 12, 6});
+    zc::MetricsConfig cfg;
+    cfg.pdf_bins = 1968;
+    const auto r = czc::pattern1_fused(dev, f.orig.view(), f.dec.view(), cfg);
+    EXPECT_EQ(r.stats.smem_per_block, props.smem_per_block);
+    EXPECT_EQ(r.raw_hist.size(), 3u * 1968);
+    EXPECT_EQ(r.report.err_pdf.size(), 1968u);
+    EXPECT_GT(r.report.entropy, 0.0);
+    vgpu::Device assess_dev;
+    const auto a = czc::assess(assess_dev, f.orig.view(), f.dec.view(), cfg).report.reduction;
+    EXPECT_EQ(a.err_pdf, r.report.err_pdf);
+    EXPECT_EQ(a.entropy, r.report.entropy);
+}
+
+TEST(CuzcPattern1, OversizedPdfBinsKeepReductionsAndDropPdfs) {
+    // Past the shared-memory limit every launch form and entry point skips
+    // the histograms (empty PDFs, entropy 0) instead of overflowing the
+    // block's arena; the reductions are those of a small-bins run.
+    const auto f = make({20, 12, 6});
+    zc::MetricsConfig small;
+    small.pdf_bins = 100;
+    vgpu::Device ref_dev;
+    const auto ref = czc::pattern1_fused(ref_dev, f.orig.view(), f.dec.view(), small);
+    // Sharded moments merge in device order, so the multi-GPU reference is
+    // a multi-GPU run of its own.
+    std::vector<vgpu::Device> ref_devices(3);
+    const auto ref_multi =
+        czc::assess_multigpu(ref_devices, f.orig.view(), f.dec.view(), small).report.reduction;
+    const auto expect_no_pdfs = [](const zc::ReductionReport& r, const zc::ReductionReport& want,
+                                   int bins, const char* what) {
+        SCOPED_TRACE(std::string(what) + " bins " + std::to_string(bins));
+        EXPECT_TRUE(r.err_pdf.empty());
+        EXPECT_TRUE(r.pwr_err_pdf.empty());
+        EXPECT_EQ(r.entropy, 0.0);
+        EXPECT_EQ(r.err_pdf_min, 0.0);
+        EXPECT_EQ(r.mse, want.mse);
+        EXPECT_EQ(r.psnr_db, want.psnr_db);
+        EXPECT_EQ(r.pearson_r, want.pearson_r);
+        EXPECT_EQ(r.max_abs_err, want.max_abs_err);
+    };
+    for (const int bins : {1969, 4096, 1 << 20}) {
+        zc::MetricsConfig cfg = small;
+        cfg.pdf_bins = bins;
+        vgpu::Device dev;
+        const auto r = czc::pattern1_fused(dev, f.orig.view(), f.dec.view(), cfg);
+        EXPECT_TRUE(r.raw_hist.empty());
+        EXPECT_EQ(r.stats.grid_syncs, 1u);  // reductions and final fold only
+        expect_no_pdfs(r.report, ref.report, bins, "kernel");
+
+        vgpu::Device assess_dev;
+        expect_no_pdfs(czc::assess(assess_dev, f.orig.view(), f.dec.view(), cfg).report.reduction,
+                       ref.report, bins, "assess");
+
+        std::vector<vgpu::Device> devices(3);
+        expect_no_pdfs(czc::assess_multigpu(devices, f.orig.view(), f.dec.view(), cfg)
+                           .report.reduction,
+                       ref_multi, bins, "multigpu");
+    }
+
+    // The multi-GPU histogram-only form holds no partials, so 2000 bins
+    // would fit its arena; it still follows the full launch's limit so
+    // every device count returns the same report.
+    const czc::Pattern1Ranges ranges{ref.moments.min_err, ref.moments.max_err,
+                                     ref.moments.min_pwr, ref.moments.max_pwr,
+                                     ref.moments.min_val, ref.moments.max_val};
+    czc::Pattern1Options hist_only;
+    hist_only.reductions = false;
+    hist_only.fixed_ranges = &ranges;
+    zc::MetricsConfig cfg = small;
+    cfg.pdf_bins = 2000;
+    vgpu::Device dev;
+    const vgpu::DeviceBuffer<float> d_orig(dev, f.orig.data());
+    const vgpu::DeviceBuffer<float> d_dec(dev, f.dec.data());
+    const auto r = czc::pattern1_fused_device(dev, d_orig, d_dec, f.orig.dims(), cfg, hist_only);
+    EXPECT_TRUE(r.raw_hist.empty());
+    EXPECT_TRUE(r.report.err_pdf.empty());
 }
 
 TEST(CuzcPattern2, BlockCountFollowsZExtent) {

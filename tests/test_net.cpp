@@ -338,6 +338,30 @@ TEST(NetServer, OversizedSsimWindowIsAnsweredWithoutSsim) {
     client.close();
 }
 
+TEST(NetServer, OversizedPdfBinsIsAnsweredWithoutPdfs) {
+    // The wire accepts pdf_bins up to 2^20, far beyond what pattern 1's
+    // block-local histograms hold in shared memory; the server must answer
+    // with the reductions and empty PDFs (the same report as a direct
+    // assess) instead of aborting.
+    net::NetServer server(loopback_config());
+    server.start();
+    net::NetClient client(client_config(server.port()));
+
+    for (const int bins : {2000, 1 << 20}) {
+        auto req = make_request(23);
+        req.cfg.pdf_bins = bins;
+        const zc::AssessmentReport expected = direct_report(req);
+        const auto resp = client.assess(req);
+        EXPECT_FALSE(resp.rejected) << resp.error;
+        EXPECT_TRUE(resp.result.report.reduction.err_pdf.empty()) << bins;
+        EXPECT_TRUE(resp.result.report.reduction.pwr_err_pdf.empty()) << bins;
+        EXPECT_EQ(resp.result.report.reduction.entropy, 0.0) << bins;
+        EXPECT_GT(resp.result.report.reduction.psnr_db, 0.0) << bins;
+        EXPECT_EQ(net::encode_report(resp.result.report), net::encode_report(expected)) << bins;
+    }
+    client.close();
+}
+
 TEST(NetServer, PipelinedRequestsSettleOutOfOrderWaits) {
     net::NetServer server(loopback_config());
     server.start();

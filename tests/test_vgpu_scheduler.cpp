@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cuzc/cuzc.hpp"
@@ -111,6 +116,159 @@ TEST(VgpuScheduler, Pattern3BitIdenticalForAnyWorkerCount) {
         EXPECT_EQ(runs[i].report.windows, runs[0].report.windows);
         expect_same_stats(runs[i].stats, runs[0].stats, "pattern3");
     }
+}
+
+/// Outputs of the three-phase cooperative kernel below.
+struct CoopRun {
+    std::vector<double> sums;   // phase 2's per-block output
+    std::vector<double> folds;  // phase 3's atomic_add target
+    vgpu::KernelStats stats;
+    std::size_t threads_used = 0;
+};
+
+/// A cooperative grid that exercises every cross-block hazard of a
+/// resident launch: in each phase every block reads all blocks' writes of
+/// the previous phase, keeps a shared-memory value across the grid syncs,
+/// and the last phase folds into one global array with atomic_add. Every
+/// value is integer-valued, so the sums are exact in any block order.
+/// `order`, when set, records (phase, block) in execution order.
+CoopRun run_coop_kernel(std::vector<std::pair<int, std::uint32_t>>* order = nullptr) {
+    constexpr std::uint32_t kBlocks = 13;  // divisible by no tested worker count
+    constexpr std::uint32_t kThreads = 64;
+    constexpr std::size_t kFolds = 5;
+    vgpu::Device dev;
+    vgpu::DeviceBuffer<double> seeds(dev, kBlocks);
+    vgpu::DeviceBuffer<double> sums(dev, kBlocks);
+    vgpu::DeviceBuffer<double> folds(dev, kFolds);
+    folds.fill(0.0);
+    std::vector<std::thread::id> thread_of(kBlocks);
+    const auto note = [&](int phase, vgpu::BlockCtx& blk) {
+        if (order != nullptr) order->emplace_back(phase, blk.block_idx().x);
+    };
+
+    std::vector<vgpu::CoopPhase> phases;
+    phases.push_back([&](vgpu::Launch& l, vgpu::BlockCtx& blk) {
+        note(0, blk);
+        thread_of[blk.block_idx().x] = std::this_thread::get_id();
+        const double v = 3.0 * blk.block_idx().x + 1.0;
+        auto keep = blk.shared().alloc<double>(1);
+        keep.st(0, v);
+        l.span(seeds).st(blk.block_idx().x, v);
+        blk.add_iters(1);
+    });
+    phases.push_back([&](vgpu::Launch& l, vgpu::BlockCtx& blk) {
+        note(1, blk);
+        blk.shared().reset();  // the resident arena hands back phase 1's storage
+        const double kept = blk.shared().alloc<double>(1).ld(0);
+        auto regs = blk.make_regs<double>(1);
+        const double* all = l.span(std::as_const(seeds)).ld_bulk(0, kBlocks);
+        blk.for_each_thread([&](vgpu::ThreadCtx& t) {
+            regs(t) = t.linear < kBlocks ? all[t.linear] : 0.0;
+        });
+        double total = 0;
+        for (std::uint32_t t = 0; t < kThreads; ++t) total += regs.at(t);
+        l.span(sums).st(blk.block_idx().x, total * kept);
+        blk.add_ops(kBlocks);
+    });
+    phases.push_back([&](vgpu::Launch& l, vgpu::BlockCtx& blk) {
+        note(2, blk);
+        blk.shared().reset();
+        const double kept = blk.shared().alloc<double>(1).ld(0);
+        const double* all = l.span(std::as_const(sums)).ld_bulk(0, kBlocks);
+        auto f = l.span(folds);
+        for (std::size_t k = 0; k < kFolds; ++k) {
+            f.atomic_add(k, all[(blk.block_idx().x + k) % kBlocks] + kept);
+        }
+    });
+    CoopRun run;
+    run.stats = vgpu::coop_launch(
+        dev, vgpu::LaunchConfig{"coop", vgpu::Dim3{kBlocks, 1, 1}, vgpu::Dim3{kThreads, 1, 1}},
+        phases);
+    run.sums = sums.download();
+    run.folds = folds.download();
+    std::sort(thread_of.begin(), thread_of.end());
+    run.threads_used = static_cast<std::size_t>(
+        std::unique(thread_of.begin(), thread_of.end()) - thread_of.begin());
+    return run;
+}
+
+TEST(VgpuScheduler, CooperativeGridRunsInParallelWithIdenticalResults) {
+    CoopRun serial;
+    {
+        ThreadGuard guard(1);
+        serial = run_coop_kernel();
+    }
+    // Hand check of the serial run: sum of seeds 1, 4, ..., 37 is 247.
+    EXPECT_EQ(serial.sums[0], 247.0 * 1.0);
+    EXPECT_EQ(serial.sums[12], 247.0 * 37.0);
+    EXPECT_EQ(serial.stats.grid_syncs, 2u);
+    EXPECT_EQ(serial.stats.smem_per_block, sizeof(double));
+    EXPECT_EQ(serial.threads_used, 1u);
+    for (const std::size_t n : kWorkerCounts) {
+        ThreadGuard guard(n);
+        const CoopRun run = run_coop_kernel();
+        EXPECT_EQ(run.sums, serial.sums) << "workers=" << n;
+        EXPECT_EQ(run.folds, serial.folds) << "workers=" << n;
+        expect_same_stats(run.stats, serial.stats, "coop");
+        // One dispatch: each worker's block range runs on its own thread.
+        EXPECT_EQ(run.threads_used, n) << "workers=" << n;
+    }
+}
+
+TEST(VgpuScheduler, CooperativeGridUnderSerialScopeRunsInBlockOrder) {
+    ThreadGuard guard(7);
+    CoopRun reference;
+    {
+        ThreadGuard serial(1);
+        reference = run_coop_kernel();
+    }
+    std::vector<std::pair<int, std::uint32_t>> order;
+    CoopRun run;
+    {
+        vgpu::BlockScheduler::SerialScope scope;
+        run = run_coop_kernel(&order);
+    }
+    std::vector<std::pair<int, std::uint32_t>> expected;
+    for (int phase = 0; phase < 3; ++phase) {
+        for (std::uint32_t b = 0; b < 13; ++b) expected.emplace_back(phase, b);
+    }
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(run.threads_used, 1u);
+    EXPECT_EQ(run.sums, reference.sums);
+    EXPECT_EQ(run.folds, reference.folds);
+    expect_same_stats(run.stats, reference.stats, "coop serial scope");
+}
+
+TEST(VgpuScheduler, ThreadsEnvironmentVariableIsParsedStrictly) {
+    // CUZC_VGPU_THREADS follows the shared numeric grammar: anything but a
+    // plain count is reported and replaced by hardware concurrency (it must
+    // never become 2^64 - 1 workers). CI runs this suite with the variable
+    // set, so the test restores it.
+    const char* prev = std::getenv("CUZC_VGPU_THREADS");
+    const std::string saved = prev != nullptr ? prev : "";
+    vgpu::BlockScheduler& sched = vgpu::BlockScheduler::instance();
+    const unsigned hc = std::thread::hardware_concurrency();
+    const std::size_t hardware = hc > 0 ? hc : 1;
+    const auto workers_for = [&](const char* value) {
+        ::setenv("CUZC_VGPU_THREADS", value, 1);
+        sched.set_num_threads(0);
+        return sched.max_workers();
+    };
+    EXPECT_EQ(workers_for("3"), 3u);
+    EXPECT_EQ(workers_for("0"), hardware);
+    EXPECT_EQ(workers_for(""), hardware);
+    for (const char* bad : {"-1", "99999999999999999999999", " 3", "+2", "3x", "two"}) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(workers_for(bad), hardware) << '"' << bad << '"';
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("invalid CUZC_VGPU_THREADS"), std::string::npos) << err;
+    }
+    if (prev != nullptr) {
+        ::setenv("CUZC_VGPU_THREADS", saved.c_str(), 1);
+    } else {
+        ::unsetenv("CUZC_VGPU_THREADS");
+    }
+    sched.set_num_threads(0);
 }
 
 TEST(VgpuScheduler, ShardedCountsMatchHandComputedCharges) {
