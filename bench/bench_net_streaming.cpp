@@ -3,7 +3,7 @@
 //
 // The correctness trial runs against a server whose max_frame_payload is
 // deliberately smaller than one field, so the whole-frame path physically
-// cannot carry the dataset — only a v2 streaming session can. Its gates:
+// cannot carry the dataset — only a streaming session can. Its gates:
 //   - every reduction moment of the streamed report is bit-identical to the
 //     serial in-process batch computation (zc::reduction_metrics);
 //   - the final PDF ranges are exact, PDF mass is conserved, and entropy is

@@ -1,4 +1,4 @@
-// Loopback cuzc-wire-v1 serving versus the in-process assessment service
+// Loopback cuzc-wire-v2 serving versus the in-process assessment service
 // on the same mixed workload trace.
 //
 // The in-process run replays the trace straight through `AssessService`

@@ -1,7 +1,8 @@
 // Stream-session state-machine fuzzing over a real socket. Each iteration
-// synthesizes a byte script — a mix of well-formed v1/v2 frame sequences,
-// protocol misuse (out-of-sequence chunks, id reuse, orphan ends), raw
-// garbage, and blind mutations — plays it against a live NetServer through
+// synthesizes a byte script — a mix of well-formed request and stream
+// frame sequences, protocol misuse (out-of-sequence chunks, id reuse,
+// orphan ends, a Hello naming a retired protocol), raw garbage, and blind
+// mutations — plays it against a live NetServer through
 // a loopback connection, and checks the server-side invariants that must
 // survive ANY input: the process answers only well-formed frames, a
 // reject-settled stream id stays dead, the connection ledger reconciles,
@@ -83,14 +84,14 @@ struct ScriptIds {
 };
 
 /// Pre-scan the script with an assembler to learn which ids the engine may
-/// treat as unambiguous stream ids (not also used by a v1 request, whose
-/// service-level rejections share the response id space).
+/// treat as unambiguous stream ids (not also used by a whole-frame request,
+/// whose service-level rejections share the response id space).
 ScriptIds scan_script(std::span<const std::uint8_t> script) {
     ScriptIds ids;
     net::FrameAssembler pre(kPayloadCap);
     pre.feed(script);
     for (;;) {
-        const auto r = pre.next();
+        const auto r = pre.next_view();
         if (r.status == net::FrameAssembler::Status::kNeedMore) break;
         if (r.status == net::FrameAssembler::Status::kBadMagic ||
             r.status == net::FrameAssembler::Status::kBadVersion) {
@@ -139,7 +140,7 @@ void run_session_script(std::span<const std::uint8_t> script) {
         }
         if (r.header.type == static_cast<std::uint16_t>(net::FrameType::kHelloAck)) {
             try {
-                (void)net::decode_hello_ack(r.payload);
+                (void)net::decode_hello_ack(r.view);
             } catch (const net::WireError& e) {
                 fail(std::string("server hello-ack does not decode: ") + e.what());
             }
@@ -150,7 +151,7 @@ void run_session_script(std::span<const std::uint8_t> script) {
         }
         serve::AssessResponse resp;
         try {
-            resp = net::decode_response(r.payload);
+            resp = net::decode_response(r.view);
         } catch (const net::WireError& e) {
             fail(std::string("server response does not decode: ") + e.what());
         }
@@ -166,10 +167,10 @@ void run_session_script(std::span<const std::uint8_t> script) {
 
     auto drain = [&](int timeout_ms) {
         for (;;) {
-            auto r = rx.next();
+            auto r = rx.next_view();
             while (r.status != net::FrameAssembler::Status::kNeedMore) {
                 handle_frame(r);
-                r = rx.next();
+                r = rx.next_view();
             }
             if (peer_eof) return;
             pollfd p{fd, POLLIN, 0};
@@ -298,10 +299,12 @@ std::vector<std::uint8_t> synthesize_script(Rng& rng) {
     std::vector<std::uint8_t> script;
     const double hello_roll = rng.unit();
     if (hello_roll < 0.85) {
-        append(script, net::encode_frame(net::FrameType::kHello, 0,
-                                         net::encode_hello(net::kVersionStreaming)));
-    } else if (hello_roll < 0.95) {
         append(script, net::encode_frame(net::FrameType::kHello, 0, net::encode_hello()));
+    } else if (hello_roll < 0.95) {
+        // A Hello naming the retired revision: refused, connection closed.
+        net::Writer retired;
+        retired.str("cuzc-wire-v1");
+        append(script, net::encode_frame(net::FrameType::kHello, 0, retired.view()));
     }  // else: no handshake at all — the server must still clean up
 
     const zc::Dims3 dims{2, 2, 4};
@@ -347,7 +350,7 @@ std::vector<std::uint8_t> synthesize_script(Rng& rng) {
                 append_chunk(script, sid, 0, lo, lo);
                 break;
             }
-            case 5: {  // plain v1 request rides along
+            case 5: {  // plain whole-frame request rides along
                 serve::AssessRequest req;
                 req.orig = zc::Field(zc::Dims3{1, 2, 4});
                 req.dec = req.orig;
@@ -402,8 +405,7 @@ void session_corpus(CorpusWriter& w) {
     // tracking accepts the second incarnation and settles it successfully.
     {
         std::vector<std::uint8_t> script;
-        append(script, net::encode_frame(net::FrameType::kHello, 0,
-                                         net::encode_hello(net::kVersionStreaming)));
+        append(script, net::encode_frame(net::FrameType::kHello, 0, net::encode_hello()));
         const zc::Dims3 dims{2, 2, 4};
         auto bad = valid_begin(dims, 2);
         bad.chunks = 0;
@@ -422,8 +424,7 @@ void session_corpus(CorpusWriter& w) {
     // reject the declaration instead of allocating 2^31 histogram bins.
     {
         std::vector<std::uint8_t> script;
-        append(script, net::encode_frame(net::FrameType::kHello, 0,
-                                         net::encode_hello(net::kVersionStreaming)));
+        append(script, net::encode_frame(net::FrameType::kHello, 0, net::encode_hello()));
         auto sb = valid_begin(zc::Dims3{2, 2, 4}, 2);
         sb.cfg.pdf_bins = 0x7fffffff;
         append_begin(script, 1, sb);

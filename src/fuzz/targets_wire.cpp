@@ -1,7 +1,9 @@
 // Structure-aware wire fuzzing: frame payload codecs (wire-decode) and the
 // byte-stream frame extractor (wire-assembler). Both targets share one
 // replay engine with the campaign, so every saved reproducer re-runs the
-// exact check that found it.
+// exact check that found it. Both drain frames the way the server does, as
+// zero-copy views pinned by the assembler slab; wire-decode decodes them in
+// place.
 
 #include <algorithm>
 #include <iterator>
@@ -82,15 +84,12 @@ std::vector<std::uint8_t> random_response_frame(Rng& rng, std::uint64_t id) {
 std::vector<std::uint8_t> random_valid_frame(Rng& rng) {
     const std::uint64_t id = rng.range(1, 1 << 20);
     switch (rng.below(8)) {
-        case 0:
-            return net::encode_frame(FrameType::kHello, 0,
-                                     net::encode_hello(rng.chance(0.5) ? 1 : 2));
+        case 0: return net::encode_frame(FrameType::kHello, 0, net::encode_hello());
         case 1: {
             net::HelloAck ack;
-            ack.version = rng.chance(0.5) ? 1 : 2;
             ack.max_frame_payload = rng.range(1, 1 << 20);
             ack.max_inflight_per_connection = rng.range(1, 64);
-            ack.max_streams_per_connection = ack.version >= 2 ? rng.range(1, 8) : 0;
+            ack.max_streams_per_connection = rng.range(1, 8);
             return net::encode_frame(FrameType::kHelloAck, 0, net::encode_hello_ack(ack));
         }
         case 2: return net::encode_request_frame(random_request(rng), id);
@@ -122,17 +121,21 @@ std::vector<std::uint8_t> random_valid_frame(Rng& rng) {
     }
 }
 
-/// Decode a frame payload by its header type. Returns false for a type the
-/// protocol does not know (the server rejects those frames). Throws
-/// WireError for a payload the codec rejects.
-bool decode_payload(const FrameHeader& header, std::span<const std::uint8_t> payload) {
-    switch (static_cast<FrameType>(header.type)) {
-        case FrameType::kHello: (void)net::decode_hello(payload); return true;
+/// Decode an assembled frame by its header type, field runs aliasing the
+/// assembler slab as on the server. Returns false for a type the protocol
+/// does not know (the server rejects those frames). Throws WireError for a
+/// payload the codec rejects.
+bool decode_payload(const FrameAssembler::Result& res) {
+    const std::span<const std::uint8_t> payload = res.view;
+    switch (static_cast<FrameType>(res.header.type)) {
+        case FrameType::kHello: net::decode_hello(payload); return true;
         case FrameType::kHelloAck: (void)net::decode_hello_ack(payload); return true;
-        case FrameType::kRequest: (void)net::decode_request(payload); return true;
+        case FrameType::kRequest: (void)net::decode_request_view(payload, res.slab); return true;
         case FrameType::kResponse: (void)net::decode_response(payload); return true;
         case FrameType::kStreamBegin: (void)net::decode_stream_begin(payload); return true;
-        case FrameType::kStreamChunk: (void)net::decode_stream_chunk(payload); return true;
+        case FrameType::kStreamChunk:
+            (void)net::decode_stream_chunk_ref(payload, res.slab);
+            return true;
         case FrameType::kStreamEnd: (void)net::decode_stream_end(payload); return true;
         case FrameType::kGoodbye:
         case FrameType::kStreamAbort: return true;  // no payload to decode
@@ -156,12 +159,12 @@ void wire_decode_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
     std::string why;
     bool synchronized = true;
     while (synchronized) {
-        auto res = assembler.next();
+        const auto res = assembler.next_view();
         if (res.status == FrameAssembler::Status::kNeedMore) break;
         switch (res.status) {
             case FrameAssembler::Status::kFrame:
                 try {
-                    if (decode_payload(res.header, res.payload)) {
+                    if (decode_payload(res)) {
                         accepted = true;
                     } else {
                         rejected = true;
@@ -228,7 +231,7 @@ void wire_decode_iterate(std::uint64_t seed, std::uint64_t iter) {
     if (!payload.empty()) {
         FrameAssembler assembler(64ull << 20);
         assembler.feed(frame);
-        const auto head = assembler.next();
+        const auto head = assembler.next_view();
         const auto cut = static_cast<std::size_t>(rng.below(payload.size()));
         const auto truncated = net::encode_frame(static_cast<FrameType>(head.header.type),
                                                  head.header.request_id,
@@ -338,10 +341,14 @@ std::vector<std::size_t> split_schedule(std::span<const std::uint8_t> bytes) {
     return cuts;
 }
 
+/// A drained frame keeps its slab pin, so its payload view must survive
+/// every later ingest into the same assembler — the guarantee the server's
+/// aliased fields rely on.
 struct DrainedFrame {
     FrameAssembler::Status status;
     FrameHeader header;
-    std::vector<std::uint8_t> payload;
+    std::span<const std::uint8_t> view;
+    zc::SlabHandle slab;
 };
 
 constexpr std::size_t kAssemblerLimit = 64ull << 10;
@@ -351,14 +358,14 @@ std::vector<DrainedFrame> drain(FrameAssembler& assembler,
     std::vector<DrainedFrame> out;
     bool synchronized = true;
     while (synchronized) {
-        auto res = assembler.next();
+        auto res = assembler.next_view();
         if (res.status == FrameAssembler::Status::kNeedMore) break;
         if (res.status == FrameAssembler::Status::kBadMagic ||
             res.status == FrameAssembler::Status::kBadVersion) {
             synchronized = false;
         }
         if (res.status == FrameAssembler::Status::kFrame &&
-            net::frame_checksum(res.payload) != res.header.checksum) {
+            net::frame_checksum(res.view) != res.header.checksum) {
             throw FuzzFailure("assembler delivered a frame whose payload checksum mismatches",
                               to_vec(bytes), Oracle::kInvariant);
         }
@@ -366,7 +373,7 @@ std::vector<DrainedFrame> drain(FrameAssembler& assembler,
             throw FuzzFailure("assembler produced more frames than the input can hold",
                               to_vec(bytes), Oracle::kInvariant);
         }
-        out.push_back({res.status, res.header, std::move(res.payload)});
+        out.push_back({res.status, res.header, res.view, std::move(res.slab)});
     }
     return out;
 }
@@ -412,7 +419,8 @@ void assembler_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
         const auto& b = got[i];
         if (a.status != b.status || a.header.type != b.header.type ||
             a.header.request_id != b.header.request_id ||
-            a.header.version != b.header.version || a.payload != b.payload) {
+            a.header.version != b.header.version ||
+            !std::ranges::equal(a.view, b.view)) {
             throw FuzzFailure("split feed diverged from whole feed at frame " +
                                   std::to_string(i),
                               to_vec(bytes), Oracle::kInvariant);
@@ -460,7 +468,7 @@ void wire_assembler_iterate(std::uint64_t seed, std::uint64_t iter) {
 }
 
 void wire_assembler_corpus(CorpusWriter& w) {
-    const auto hello = net::encode_frame(FrameType::kHello, 0, net::encode_hello(2));
+    const auto hello = net::encode_frame(FrameType::kHello, 0, net::encode_hello());
     const auto goodbye = net::encode_frame(FrameType::kGoodbye, 0, {});
     std::vector<std::uint8_t> two = hello;
     two.insert(two.end(), goodbye.begin(), goodbye.end());

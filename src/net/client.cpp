@@ -106,14 +106,8 @@ struct NetClient::Impl {
         }
     }
 
-    void require_streaming() const {
-        if (server_limits.version < kVersionStreaming) {
-            throw WireError("streaming requires a v2-negotiated connection");
-        }
-    }
-
     void handshake() {
-        enqueue(FrameType::kHello, 0, encode_hello(cfg.protocol_version));
+        enqueue(FrameType::kHello, 0, encode_hello());
         const auto t0 = Clock::now();
         while (!hello_acked) {
             pump_once(0.05);
@@ -304,7 +298,6 @@ std::uint64_t NetClient::submit(const serve::AssessRequest& req) {
 
 std::uint64_t NetClient::stream_begin(const zc::Dims3& dims, const zc::MetricsConfig& cfg,
                                       std::uint64_t chunks) {
-    impl_->require_streaming();
     const std::uint64_t volume = dims.volume();
     if (chunks == 0 || chunks > volume) {
         throw WireError("stream_begin: chunk count cannot tile the declared shape");
@@ -435,10 +428,6 @@ std::size_t NetClient::outstanding() const noexcept { return impl_->outstanding;
 
 std::size_t NetClient::server_max_inflight() const noexcept {
     return impl_->server_limits.max_inflight_per_connection;
-}
-
-std::uint16_t NetClient::server_protocol_version() const noexcept {
-    return impl_->server_limits.version;
 }
 
 std::size_t NetClient::server_max_streams() const noexcept {

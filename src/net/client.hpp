@@ -1,8 +1,8 @@
 #pragma once
 
-/// cuzc::net::NetClient — cuzc-wire client for remote assessment (v1
-/// whole-frame requests, and v2 streaming sessions for datasets larger
-/// than one frame).
+/// cuzc::net::NetClient — cuzc-wire client for remote assessment
+/// (whole-frame requests, and streaming sessions for datasets larger than
+/// one frame).
 ///
 /// The client is single-threaded by design (one instance per driving
 /// thread): submit() queues request frames, and every pump of the socket
@@ -33,10 +33,6 @@ struct NetClientConfig {
     /// sized so a pipelined request burst parks in the kernel instead of
     /// round-tripping through EAGAIN. 0 keeps the kernel default.
     std::size_t socket_buffer_bytes = 4ull << 20;
-    /// Wire revision to request in the Hello (2 = "cuzc-wire-v2", enabling
-    /// streaming sessions; 1 speaks the original whole-frame protocol
-    /// byte-identically). The server echoes the requested revision.
-    std::uint16_t protocol_version = 2;
 };
 
 class NetClient {
@@ -62,14 +58,14 @@ public:
         return wait(submit(req));
     }
 
-    // --- v2 streaming sessions (protocol_version >= 2 only) ------------
+    // --- Streaming sessions ---------------------------------------------
 
     /// Open a streaming session: the dataset's shape, the metrics config
     /// (only the pattern-1 reduction family is computed server-side), and
     /// the exact number of stream_feed() calls to follow. Returns the
     /// stream id — also the id wait() settles once stream_finish() is
-    /// acknowledged. Throws WireError when the server negotiated v1, or on
-    /// a chunk count that cannot tile the declared shape.
+    /// acknowledged. Throws WireError on a chunk count that cannot tile the
+    /// declared shape.
     std::uint64_t stream_begin(const zc::Dims3& dims, const zc::MetricsConfig& cfg,
                                std::uint64_t chunks);
 
@@ -107,9 +103,7 @@ public:
 
     /// Server limits learned from the HelloAck.
     [[nodiscard]] std::size_t server_max_inflight() const noexcept;
-    /// The wire revision the server acknowledged (1 or 2).
-    [[nodiscard]] std::uint16_t server_protocol_version() const noexcept;
-    /// Concurrent streams the server allows per connection (0 on v1).
+    /// Concurrent streams the server allows per connection.
     [[nodiscard]] std::size_t server_max_streams() const noexcept;
 
     [[nodiscard]] std::uint64_t bytes_tx() const noexcept;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// Umbrella header for cuzc::net — the socket front-end of the
-/// assessment service (cuzc-wire-v1/v2 protocol, NetServer, NetClient).
+/// assessment service (cuzc-wire-v2 protocol, NetServer, NetClient).
 
 #include "net/client.hpp"
 #include "net/server.hpp"

@@ -121,7 +121,7 @@ struct NetServer::Impl {
         for (auto& [id, conn] : conns) ::close(conn.fd);
     }
 
-    /// One open v2 streaming session: chunks feed the incremental assessor
+    /// One open streaming session: chunks feed the incremental assessor
     /// as they arrive, so server memory stays bounded by the assessor's
     /// histograms regardless of the dataset size declared in StreamBegin.
     struct Stream {
@@ -141,8 +141,6 @@ struct NetServer::Impl {
         std::size_t write_bytes = 0;  ///< unsent bytes across write_q
         std::size_t front_off = 0;    ///< sent prefix of write_q.front()
         std::size_t inflight = 0;     ///< requests submitted, response not yet queued
-        /// Wire revision negotiated by the Hello (stream frames need >= 2).
-        std::uint16_t version = kVersion;
         /// Open streaming sessions by stream id (the frames' request_id).
         /// Deliberately *not* part of the in-flight read gate: progressing
         /// a stream requires reading more chunks, so gating POLLIN on open
@@ -477,7 +475,7 @@ struct NetServer::Impl {
                 return false;
             }
             try {
-                conn.version = decode_hello(res.view);
+                decode_hello(res.view);
             } catch (const WireError&) {
                 count_rejected_frame();
                 close_conn(id);
@@ -485,7 +483,6 @@ struct NetServer::Impl {
             }
             conn.handshaken = true;
             HelloAck ack;
-            ack.version = conn.version;
             ack.max_frame_payload = cfg.max_frame_payload;
             ack.max_inflight_per_connection = cfg.max_inflight_per_connection;
             ack.max_streams_per_connection = cfg.max_streams_per_connection;
@@ -528,13 +525,6 @@ struct NetServer::Impl {
             case FrameType::kStreamChunk:
             case FrameType::kStreamEnd:
             case FrameType::kStreamAbort:
-                if (conn.version < kVersionStreaming) {
-                    // Stream frames on a v1-negotiated connection are a
-                    // protocol violation, like any unknown frame type.
-                    count_rejected_frame();
-                    close_conn(id);
-                    return false;
-                }
                 return handle_stream_frame(id, type, res);
             default:
                 // A client must not send server-only frame types.

@@ -29,7 +29,7 @@ struct NetServerConfig {
     /// Frames whose payload exceeds this are rejected (and skipped)
     /// without closing the connection.
     std::size_t max_frame_payload = 64ull << 20;
-    /// Concurrent v2 streaming sessions one connection may hold open; a
+    /// Concurrent streaming sessions one connection may hold open; a
     /// StreamBegin past the cap is settled immediately with a rejected
     /// response. Streams are deliberately outside the in-flight read gate
     /// (feeding a stream *requires* reading), so this is their own

@@ -71,7 +71,7 @@ void encode_cfg(Writer& w, const zc::MetricsConfig& cfg) {
     return cfg;
 }
 
-/// Request-direction config validation (decode_request / decode_stream_begin):
+/// Request-direction config validation (decode_request_view / decode_stream_begin):
 /// the server must reject a hostile config at the framing layer, before any
 /// assessor or kernel sees it. Responses echo a config the server already
 /// validated, so the response decoder leaves it alone.
@@ -265,20 +265,6 @@ std::uint64_t Reader::u64() {
 std::int32_t Reader::i32() { return static_cast<std::int32_t>(u32()); }
 double Reader::f64() { return std::bit_cast<double>(u64()); }
 
-std::vector<float> Reader::f32_span() {
-    const auto [n, raw] = f32_raw();
-    std::vector<float> v(static_cast<std::size_t>(n));
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(v.data(), raw.data(), raw.size());
-    } else {
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            v[i] = std::bit_cast<float>(get_le<std::uint32_t>(raw.data() + i * 4));
-        }
-    }
-    zc::data_plane_note_copy(raw.size());
-    return v;
-}
-
 std::pair<std::uint64_t, std::span<const std::uint8_t>> Reader::f32_raw() {
     const std::uint64_t n = u64();
     // Bounds check in element space, all in 64-bit arithmetic: forming
@@ -321,54 +307,35 @@ void Reader::expect_end() const {
 
 // --- Payload codecs ----------------------------------------------------
 
-std::vector<std::uint8_t> encode_hello(std::uint16_t version) {
+std::vector<std::uint8_t> encode_hello() {
     Writer w;
-    w.str(version >= kVersionStreaming ? kProtocolNameV2 : kProtocolName);
+    w.str(kProtocolName);
     return w.take();
 }
 
-std::uint16_t decode_hello(std::span<const std::uint8_t> payload) {
+void decode_hello(std::span<const std::uint8_t> payload) {
     Reader r(payload);
     const std::string name = r.str();
     r.expect_end();
-    if (name == kProtocolName) return kVersion;
-    if (name == kProtocolNameV2) return kVersionStreaming;
-    throw WireError("handshake: unknown protocol");
+    if (name != kProtocolName) throw WireError("handshake: unknown protocol");
 }
 
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& ack) {
     Writer w;
-    // The v1 encoding is frozen: a v1 client's decoder must keep working
-    // against this server byte-for-byte. Only the v2 ack grew fields.
-    if (ack.version >= kVersionStreaming) {
-        w.str(kProtocolNameV2);
-        w.u64(ack.max_frame_payload);
-        w.u64(ack.max_inflight_per_connection);
-        w.u64(ack.max_streams_per_connection);
-    } else {
-        w.str(kProtocolName);
-        w.u64(ack.max_frame_payload);
-        w.u64(ack.max_inflight_per_connection);
-    }
+    w.str(kProtocolName);
+    w.u64(ack.max_frame_payload);
+    w.u64(ack.max_inflight_per_connection);
+    w.u64(ack.max_streams_per_connection);
     return w.take();
 }
 
 HelloAck decode_hello_ack(std::span<const std::uint8_t> payload) {
     Reader r(payload);
-    const std::string name = r.str();
+    if (r.str() != kProtocolName) throw WireError("handshake: unknown protocol");
     HelloAck ack;
-    if (name == kProtocolName) {
-        ack.version = kVersion;
-    } else if (name == kProtocolNameV2) {
-        ack.version = kVersionStreaming;
-    } else {
-        throw WireError("handshake: unknown protocol");
-    }
     ack.max_frame_payload = static_cast<std::size_t>(r.u64());
     ack.max_inflight_per_connection = static_cast<std::size_t>(r.u64());
-    if (ack.version >= kVersionStreaming) {
-        ack.max_streams_per_connection = static_cast<std::size_t>(r.u64());
-    }
+    ack.max_streams_per_connection = static_cast<std::size_t>(r.u64());
     r.expect_end();
     return ack;
 }
@@ -459,13 +426,6 @@ std::vector<std::uint8_t> encode_request_frame(const serve::AssessRequest& req,
     w.zeros(FrameHeader::kSize);
     encode_request_into(w, req);
     return seal_frame(std::move(w), FrameType::kRequest, request_id);
-}
-
-serve::AssessRequest decode_request(std::span<const std::uint8_t> payload) {
-    // No guarding slab: every field run is copied out, exactly the legacy
-    // behavior. Callers that still hold the stream buffer use
-    // decode_request_view for the zero-copy path.
-    return decode_request_view(payload, zc::SlabHandle{});
 }
 
 serve::AssessRequest decode_request_view(std::span<const std::uint8_t> payload,
@@ -575,7 +535,7 @@ serve::AssessResponse decode_response(std::span<const std::uint8_t> payload) {
     return resp;
 }
 
-// --- Streaming codecs (cuzc-wire-v2) -----------------------------------
+// --- Streaming codecs --------------------------------------------------
 
 std::vector<std::uint8_t> encode_stream_begin(const StreamBegin& sb) {
     Writer w;
@@ -627,19 +587,6 @@ std::vector<std::uint8_t> encode_stream_chunk_frame(std::uint64_t stream_id, std
     w.f32_span(orig);
     w.f32_span(dec);
     return seal_frame(std::move(w), FrameType::kStreamChunk, stream_id, kVersionStreaming);
-}
-
-StreamChunk decode_stream_chunk(std::span<const std::uint8_t> payload) {
-    Reader r(payload);
-    StreamChunk c;
-    c.seq = r.u64();
-    c.orig = r.f32_span();
-    c.dec = r.f32_span();
-    r.expect_end();
-    if (c.orig.empty() || c.orig.size() != c.dec.size()) {
-        throw WireError("stream-chunk: ranges must be non-empty and paired");
-    }
-    return c;
 }
 
 StreamChunkRef decode_stream_chunk_ref(std::span<const std::uint8_t> payload,
@@ -791,17 +738,6 @@ void FrameAssembler::compact() {
     }
 }
 
-FrameAssembler::Result FrameAssembler::next() {
-    Result res = next_view();
-    if (res.status == Status::kFrame) {
-        res.payload.assign(res.view.begin(), res.view.end());
-        res.view = {};
-        res.slab.reset();  // the copy owns the bytes; drop the pin
-        compact();
-    }
-    return res;
-}
-
 std::size_t FrameAssembler::pending_frame_bytes() const noexcept {
     if (skip_ > 0 || buffered() < FrameHeader::kSize) return 0;
     const std::uint8_t* p = slab_.data() + consumed_;
@@ -858,10 +794,9 @@ FrameAssembler::Result FrameAssembler::next_view() {
         res.status = Status::kBadChecksum;
         return res;
     }
-    // No compact() here: the view must stay valid until the caller's next
-    // mutating call (feed/writable/next) — and res.slab pins the storage
-    // for any FieldRefs decoded out of the view, so even those calls only
-    // invalidate the view span itself, never aliased field data.
+    // No compact() here: the view stays valid until the caller's next call
+    // on this assembler, and for as long as res.slab is held after that:
+    // compact() and migrate() never move or reuse bytes of a pinned slab.
     res.view = body;
     res.slab = slab_;
     res.status = Status::kFrame;

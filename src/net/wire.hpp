@@ -1,13 +1,13 @@
 #pragma once
 
-/// cuzc-wire-v1 / cuzc-wire-v2 — the length-prefixed binary protocol
-/// spoken between cuzc::net::NetServer and NetClient (see DESIGN.md §7/§8).
+/// cuzc-wire-v2 — the length-prefixed binary protocol spoken between
+/// cuzc::net::NetServer and NetClient (see DESIGN.md §7/§8).
 ///
 /// Every frame is a fixed 24-byte little-endian header followed by
 /// `payload_len` payload bytes:
 ///
 ///   u32 magic        0x43575A43 ("CZWC")
-///   u16 version      1 (v2 streaming frame types carry 2)
+///   u16 version      1 on whole-frame types, 2 on streaming frame types
 ///   u16 type         FrameType
 ///   u64 request_id   client-chosen; echoed on the response
 ///   u32 payload_len  payload bytes that follow
@@ -15,14 +15,10 @@
 ///                    32 bits (see frame_checksum)
 ///
 /// A connection opens with a Hello / HelloAck exchange carrying the
-/// protocol name so version skew fails fast. The name doubles as the
-/// version negotiation: a client says "cuzc-wire-v1" or "cuzc-wire-v2",
-/// and the server acks the same revision — a v1 client keeps speaking v1
-/// unchanged; the streaming frame types (StreamBegin/Chunk/End/Abort) are
-/// only legal on a v2-negotiated connection and carry header version 2,
-/// so a v1-only peer rejects them at the framing layer instead of
-/// misparsing. After the handshake any number of Request frames (and, on
-/// v2, streaming sessions) may be in flight concurrently; the server
+/// protocol name, so a peer speaking anything else fails fast: a Hello
+/// naming any other protocol is refused and the connection closed. After
+/// the handshake any number of Request frames and streaming sessions
+/// (StreamBegin/Chunk/End/Abort) may be in flight concurrently; the server
 /// responds with one Response frame per request or stream, in completion
 /// order. Decoding is strictly bounds-checked: a truncated or oversized
 /// frame is rejected (and, where the stream stays synchronized, skipped)
@@ -45,20 +41,20 @@
 namespace cuzc::net {
 
 inline constexpr std::uint32_t kMagic = 0x43575A43u;  // "CZWC"
+/// Header version of the whole-frame types (Hello through Goodbye).
 inline constexpr std::uint16_t kVersion = 1;
-/// Streaming revision: the new frame types below carry this header version.
+/// Header version of the streaming frame types (StreamBegin and later).
 inline constexpr std::uint16_t kVersionStreaming = 2;
 inline constexpr std::uint16_t kVersionMax = kVersionStreaming;
-inline constexpr std::string_view kProtocolName = "cuzc-wire-v1";
-inline constexpr std::string_view kProtocolNameV2 = "cuzc-wire-v2";
+inline constexpr std::string_view kProtocolName = "cuzc-wire-v2";
 
 enum class FrameType : std::uint16_t {
-    kHello = 1,        ///< client -> server: protocol name (negotiates version)
+    kHello = 1,        ///< client -> server: protocol name
     kHelloAck = 2,     ///< server -> client: protocol name + server limits
     kRequest = 3,      ///< client -> server: serialized AssessRequest
     kResponse = 4,     ///< server -> client: serialized AssessResponse
     kGoodbye = 5,      ///< client -> server: drain my in-flight, then close
-    // v2 streaming sessions. The header request_id is the stream id; the
+    // Streaming sessions. The header request_id is the stream id; the
     // server settles each stream with one kResponse frame echoing it.
     kStreamBegin = 6,  ///< client -> server: dims + cfg + declared totals
     kStreamChunk = 7,  ///< client -> server: sequence-numbered orig/dec slice
@@ -131,11 +127,10 @@ public:
     [[nodiscard]] std::uint64_t u64();
     [[nodiscard]] std::int32_t i32();
     [[nodiscard]] double f64();
-    [[nodiscard]] std::vector<float> f32_span();
-    /// Zero-copy variant of f32_span: consumes the count prefix and the
-    /// element bytes, returning the count plus a view of the raw bytes in
-    /// place. The caller decides whether those bytes can be aliased as
-    /// floats (alignment + endianness) or must be copied out.
+    /// Consumes a count-prefixed f32 run (the Writer::f32_span encoding),
+    /// returning the count plus a view of the raw bytes in place. The
+    /// caller decides whether those bytes can be aliased as floats
+    /// (alignment + endianness) or must be copied out.
     [[nodiscard]] std::pair<std::uint64_t, std::span<const std::uint8_t>> f32_raw();
     [[nodiscard]] std::string str();
     [[nodiscard]] std::vector<std::uint8_t> bytes();
@@ -153,29 +148,24 @@ private:
 
 // --- Payload codecs ----------------------------------------------------
 
-/// Hello carries the protocol name of the revision the client wants to
-/// speak ("cuzc-wire-v1" by default, "cuzc-wire-v2" for streaming).
-[[nodiscard]] std::vector<std::uint8_t> encode_hello(std::uint16_t version = kVersion);
-/// Returns the wire version the peer requested (1 or 2); throws WireError
-/// when the payload carries neither known protocol name.
-std::uint16_t decode_hello(std::span<const std::uint8_t> payload);
+/// Hello carries the protocol name, kProtocolName.
+[[nodiscard]] std::vector<std::uint8_t> encode_hello();
+/// Throws WireError unless the payload names kProtocolName.
+void decode_hello(std::span<const std::uint8_t> payload);
 
+/// The server's limits, sent in the HelloAck after the protocol name.
 struct HelloAck {
-    /// The negotiated wire version the server will speak on this
-    /// connection (echoes the client's Hello revision).
-    std::uint16_t version = kVersion;
     std::size_t max_frame_payload = 0;
     std::size_t max_inflight_per_connection = 0;
-    /// v2 only: concurrent streaming sessions one connection may hold
-    /// open (0 on a v1 ack).
+    /// Concurrent streaming sessions one connection may hold open.
     std::size_t max_streams_per_connection = 0;
 };
-/// A v1 ack is byte-identical to what a v1-only server would send; the
-/// stream limit travels only on a v2 ack.
 [[nodiscard]] std::vector<std::uint8_t> encode_hello_ack(const HelloAck& ack);
+/// Throws WireError unless the payload names kProtocolName and carries
+/// exactly the three limits.
 [[nodiscard]] HelloAck decode_hello_ack(std::span<const std::uint8_t> payload);
 
-// --- v2 streaming session payloads -------------------------------------
+// --- Streaming session payloads ----------------------------------------
 
 /// StreamBegin declares the whole dataset up front so the server can
 /// validate every chunk against it: the field shape, the metrics to run
@@ -197,20 +187,15 @@ struct StreamBegin {
 /// One paired slice of the dataset in element order. Sequence numbers are
 /// 0-based and must arrive strictly in order; the frame checksum already
 /// covers the payload, so a corrupt chunk is dropped at the framing layer.
-struct StreamChunk {
-    std::uint64_t seq = 0;
-    std::vector<float> orig;
-    std::vector<float> dec;
-};
 [[nodiscard]] std::vector<std::uint8_t> encode_stream_chunk_frame(
     std::uint64_t stream_id, std::uint64_t seq, std::span<const float> orig,
     std::span<const float> dec);
-/// Throws WireError on truncation, an empty chunk, or orig/dec length skew.
-[[nodiscard]] StreamChunk decode_stream_chunk(std::span<const std::uint8_t> payload);
 
-/// Zero-copy chunk: the slices alias the stream buffer (guarded by the
+/// Decoded chunk: the slices alias the stream buffer (guarded by the
 /// assembler slab) when they land element-aligned, and are copied into
-/// pooled slabs otherwise. Shape is the flat run {1, 1, n}.
+/// pooled slabs otherwise (always, for an empty `slab`). Shape is the flat
+/// run {1, 1, n}. Throws WireError on truncation, an empty chunk, or
+/// orig/dec length skew.
 struct StreamChunkRef {
     std::uint64_t seq = 0;
     zc::FieldRef orig;
@@ -229,13 +214,13 @@ struct StreamEnd {
 [[nodiscard]] StreamEnd decode_stream_end(std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_request(const serve::AssessRequest& req);
-[[nodiscard]] serve::AssessRequest decode_request(std::span<const std::uint8_t> payload);
 
 /// Zero-copy decode: the request's fields alias the payload in place
 /// (pinned by `slab`, the assembler buffer the payload lives in) whenever
 /// the float runs land 4-byte-aligned on a little-endian host; otherwise
-/// they are copied into pooled slabs (counted as data-plane copies).
-/// Behaviorally identical to decode_request either way.
+/// (and always for an empty `slab`) they are copied into pooled slabs,
+/// counted as data-plane copies. The decoded request is the same either
+/// way.
 [[nodiscard]] serve::AssessRequest decode_request_view(std::span<const std::uint8_t> payload,
                                                        const zc::SlabHandle& slab);
 
@@ -268,7 +253,7 @@ struct StreamEnd {
                                                               std::uint64_t request_id);
 
 /// Incremental frame extractor over a byte stream. Feed received bytes,
-/// then drain frames with next(). An oversized frame (payload_len above
+/// then drain frames with next_view(). An oversized frame (payload_len above
 /// the limit) is reported once and its payload bytes are then discarded
 /// as they arrive, so the connection survives with bounded memory; a
 /// checksum mismatch is reported with the frame skipped. Only kBadMagic /
@@ -288,12 +273,11 @@ public:
     struct Result {
         Status status = Status::kNeedMore;
         FrameHeader header;
-        std::vector<std::uint8_t> payload;  ///< next() only
-        /// next_view() only: the payload in place inside the stream buffer.
+        /// kFrame only: the payload in place inside the stream buffer.
         std::span<const std::uint8_t> view;
-        /// next_view() only: pins the slab the view aliases. Decoders hand
-        /// this to decode_request_view / decode_stream_chunk_ref so field
-        /// views keep the storage alive past the next ingest call.
+        /// kFrame only: pins the slab the view aliases. Decoders hand this
+        /// to decode_request_view / decode_stream_chunk_ref so field views
+        /// keep the storage alive past the next ingest call.
         zc::SlabHandle slab;
     };
 
@@ -303,10 +287,9 @@ public:
     /// Skipped oversize payload bytes are still discarded on commit.
     [[nodiscard]] std::span<std::uint8_t> writable(std::size_t n);
     void commit(std::size_t n);
-    [[nodiscard]] Result next();
-    /// Zero-copy variant: a kFrame result carries `view` (aliasing the
-    /// stream buffer) instead of `payload`. The view is invalidated by the
-    /// next feed/writable/next call — decode before pulling more bytes.
+    /// Extract the next frame. A kFrame result's `view` aliases the stream
+    /// buffer; it stays valid until the next call on this assembler, and
+    /// past that for as long as the result's `slab` is held.
     [[nodiscard]] Result next_view();
     [[nodiscard]] std::size_t buffered() const noexcept { return end_ - consumed_; }
     /// Total bytes (header + payload) of the in-limit frame at the head of

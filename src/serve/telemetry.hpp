@@ -87,8 +87,8 @@ struct ServiceTelemetry {
     void write_json(std::ostream& os, int indent = 0) const;
 };
 
-/// Counters of the socket front-end (cuzc::net::NetServer) speaking the
-/// cuzc-wire protocol (v1 whole-frame requests and v2 streaming sessions).
+/// Counters of the socket front-end (cuzc::net::NetServer) speaking
+/// cuzc-wire-v2 (whole-frame requests and streaming sessions).
 /// They sit *in front of* ServiceTelemetry: every wire request the server
 /// accepts becomes exactly one AssessService submission, so
 /// `requests_accepted` here reconciles with the service's own `queued`
@@ -123,7 +123,7 @@ struct NetTelemetry {
     std::uint64_t bytes_rx = 0;
     std::uint64_t bytes_tx = 0;
 
-    // v2 streaming sessions.
+    // Streaming sessions.
     std::uint64_t streams_opened = 0;      ///< StreamBegin frames admitted
     std::uint64_t stream_chunks = 0;       ///< StreamChunk frames applied
     std::uint64_t stream_bytes = 0;        ///< payload bytes of applied chunks
@@ -134,8 +134,8 @@ struct NetTelemetry {
     zc::DataPlaneStats data_plane;
 
     /// Pretty-printed JSON object; `"schema": "cuzc-wire-v2"` names the
-    /// protocol revision the counters describe (the nested "data_plane"
-    /// block is additive).
+    /// protocol the counters describe, and a nested "data_plane" block
+    /// carries the data-plane ledger.
     void write_json(std::ostream& os, int indent = 0) const;
 };
 

@@ -373,7 +373,8 @@ TEST_F(CliFixture, VersionPrintsSchemasAndSimdBanner) {
     EXPECT_NE(out.find("cuzc-trace-v1"), std::string::npos);
     EXPECT_NE(out.find("cuzc-serve-telemetry-v2"), std::string::npos);
     EXPECT_NE(out.find("cuzc-serve-replay-v2"), std::string::npos);
-    EXPECT_NE(out.find("cuzc-wire-v1"), std::string::npos);
+    EXPECT_NE(out.find("cuzc-wire-v2"), std::string::npos);
+    EXPECT_EQ(out.find("cuzc-wire-v1"), std::string::npos);
     // Third line is the SIMD dispatch banner — non-empty, whatever the host.
     std::istringstream lines(out);
     std::string l1, l2, l3;

@@ -18,6 +18,7 @@
 #include "fuzz/fuzz.hpp"
 #include "fuzz/mutate.hpp"
 #include "fuzz/rng.hpp"
+#include "zc/field_buffer.hpp"
 
 #ifndef CUZC_CORPUS_DIR
 #error "test_fuzz_harness needs -DCUZC_CORPUS_DIR=<path to tests/corpus>"
@@ -139,6 +140,23 @@ TEST(FuzzSmoke, CheckedInCorpusReplaysGreenAndShortCampaignIsClean) {
                 << t.name << ": corpus dir missing from " << CUZC_CORPUS_DIR;
         }
     }
+}
+
+TEST(FuzzSmoke, WireDecodeReplayAliasesRequestFieldsWithoutCopying) {
+    // The wire-decode target decodes from the assembler's slab-pinned view,
+    // as the server does, so the checked-in request frame's fields alias
+    // the ingest slab: the replay copies no payload bytes.
+    const fuzz::Target* t = fuzz::find_target("wire-decode");
+    ASSERT_NE(t, nullptr);
+    const std::string dir = std::string(CUZC_CORPUS_DIR) + "/wire-decode";
+    std::vector<std::uint8_t> frame;
+    for (auto& [name, bytes] : fuzz::load_corpus(dir)) {
+        if (name == "accept-request-small.bin") frame = std::move(bytes);
+    }
+    ASSERT_FALSE(frame.empty()) << "wire-decode/accept-request-small.bin missing";
+    const std::uint64_t before = cuzc::zc::data_plane_stats().bytes_copied;
+    t->replay(frame, fuzz::Oracle::kAccept);
+    EXPECT_EQ(cuzc::zc::data_plane_stats().bytes_copied, before);
 }
 
 TEST(FuzzSmoke, CampaignIsDeterministicFromTheSeed) {

@@ -1,4 +1,4 @@
-// Tests of cuzc::net — the cuzc-wire-v1 socket front-end.
+// Tests of cuzc::net — the cuzc-wire-v2 socket front-end.
 //
 // The acceptance bar: frames round-trip bit-exactly through the codec and
 // the assembler (including split and pipelined delivery), malformed input
@@ -49,6 +49,10 @@ serve::AssessRequest make_request(std::uint64_t seed, double noise = 0.01) {
     return req;
 }
 
+std::vector<std::uint8_t> payload_of(const net::FrameAssembler::Result& res) {
+    return {res.view.begin(), res.view.end()};
+}
+
 zc::AssessmentReport direct_report(const serve::AssessRequest& req) {
     vgpu::Device dev;
     return czc::assess(dev, req.orig.view(), req.dec.view(), req.cfg).report;
@@ -84,12 +88,12 @@ TEST(NetWire, FrameRoundTripsThroughAssembler) {
 
     net::FrameAssembler asm_(1 << 20);
     asm_.feed(frame);
-    auto res = asm_.next();
+    auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(res.header.type, static_cast<std::uint16_t>(net::FrameType::kRequest));
     EXPECT_EQ(res.header.request_id, 42u);
-    EXPECT_EQ(res.payload, payload);
-    EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kNeedMore);
+    EXPECT_EQ(payload_of(res), payload);
+    EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kNeedMore);
 }
 
 TEST(NetWire, ByteAtATimeDeliveryNeedsMoreUntilComplete) {
@@ -98,12 +102,12 @@ TEST(NetWire, ByteAtATimeDeliveryNeedsMoreUntilComplete) {
     net::FrameAssembler asm_(1 << 20);
     for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
         asm_.feed(std::span<const std::uint8_t>(&frame[i], 1));
-        EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kNeedMore);
+        EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kNeedMore);
     }
     asm_.feed(std::span<const std::uint8_t>(&frame.back(), 1));
-    auto res = asm_.next();
+    auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
-    EXPECT_EQ(res.payload, payload);
+    EXPECT_EQ(payload_of(res), payload);
 }
 
 TEST(NetWire, NextViewAliasesStreamAndMatchesNext) {
@@ -113,13 +117,21 @@ TEST(NetWire, NextViewAliasesStreamAndMatchesNext) {
     asm_.feed(net::encode_frame(net::FrameType::kRequest, 2, p2));
     auto r1 = asm_.next_view();
     ASSERT_EQ(r1.status, net::FrameAssembler::Status::kFrame);
-    EXPECT_TRUE(r1.payload.empty());  // zero-copy: the bytes live in `view`
-    EXPECT_EQ(std::vector<std::uint8_t>(r1.view.begin(), r1.view.end()), p1);
-    auto r2 = asm_.next_view();  // invalidates r1.view
+    // Zero-copy: the payload lives in place inside the pinned slab.
+    ASSERT_TRUE(r1.slab);
+    EXPECT_GE(r1.view.data(), r1.slab.data());
+    EXPECT_LE(r1.view.data() + r1.view.size(), r1.slab.data() + r1.slab.capacity());
+    EXPECT_EQ(payload_of(r1), p1);
+    auto r2 = asm_.next_view();
     ASSERT_EQ(r2.status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(r2.header.request_id, 2u);
-    EXPECT_EQ(std::vector<std::uint8_t>(r2.view.begin(), r2.view.end()), p2);
+    EXPECT_EQ(payload_of(r2), p2);
     EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kNeedMore);
+    // Held pins keep both views intact across later ingest.
+    const std::vector<std::uint8_t> p3(8000, 0x33);
+    asm_.feed(net::encode_frame(net::FrameType::kRequest, 3, p3));
+    EXPECT_EQ(payload_of(r1), p1);
+    EXPECT_EQ(payload_of(r2), p2);
 }
 
 TEST(NetWire, WritableCommitIngestEqualsFeed) {
@@ -134,9 +146,9 @@ TEST(NetWire, WritableCommitIngestEqualsFeed) {
         asm_.commit(n);
         off += n;
     }
-    auto res = asm_.next();
+    auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
-    EXPECT_EQ(res.payload, payload);
+    EXPECT_EQ(payload_of(res), payload);
 }
 
 TEST(NetWire, BadMagicAndBadVersionAreTerminal) {
@@ -144,7 +156,7 @@ TEST(NetWire, BadMagicAndBadVersionAreTerminal) {
         std::vector<std::uint8_t> junk(net::FrameHeader::kSize, 0xEE);
         net::FrameAssembler asm_(1 << 20);
         asm_.feed(junk);
-        EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kBadMagic);
+        EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kBadMagic);
     }
     {
         auto frame = net::encode_frame(net::FrameType::kHello, 0, net::encode_hello());
@@ -152,7 +164,7 @@ TEST(NetWire, BadMagicAndBadVersionAreTerminal) {
         frame[5] = 0xFF;
         net::FrameAssembler asm_(1 << 20);
         asm_.feed(frame);
-        EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kBadVersion);
+        EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kBadVersion);
     }
 }
 
@@ -165,13 +177,13 @@ TEST(NetWire, OversizeFrameIsSkippedAndStreamRecovers) {
     net::FrameAssembler asm_(1024);  // limit below `big`
     // Deliver the oversize frame in two chunks so the skip spans commits.
     asm_.feed(std::span<const std::uint8_t>(oversize.data(), 100));
-    EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kOversize);
+    EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kOversize);
     asm_.feed(std::span<const std::uint8_t>(oversize.data() + 100, oversize.size() - 100));
     asm_.feed(good);
-    auto res = asm_.next();
+    auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(res.header.request_id, 6u);
-    EXPECT_EQ(res.payload, small);
+    EXPECT_EQ(payload_of(res), small);
 }
 
 TEST(NetWire, PendingFrameBytesPeeksTheInLimitHeadFrame) {
@@ -186,11 +198,11 @@ TEST(NetWire, PendingFrameBytesPeeksTheInLimitHeadFrame) {
                                             net::FrameHeader::kSize + 50 - 10));
     // Full header + partial payload: the total frame size is known.
     EXPECT_EQ(asm_.pending_frame_bytes(), net::FrameHeader::kSize + payload.size());
-    EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kNeedMore);
+    EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kNeedMore);
     asm_.feed(std::span<const std::uint8_t>(frame.data() + net::FrameHeader::kSize + 50,
                                             frame.size() - net::FrameHeader::kSize - 50));
     EXPECT_EQ(asm_.pending_frame_bytes(), frame.size());
-    EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kFrame);
+    EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(asm_.pending_frame_bytes(), 0u);  // stream drained
 
     // Oversize and garbage headers report 0 — they never justify reading
@@ -198,7 +210,7 @@ TEST(NetWire, PendingFrameBytesPeeksTheInLimitHeadFrame) {
     std::vector<std::uint8_t> big(2048, 0x33);
     asm_.feed(net::encode_frame(net::FrameType::kRequest, 8, big));
     EXPECT_EQ(asm_.pending_frame_bytes(), 0u);
-    EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kOversize);
+    EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kOversize);
     net::FrameAssembler junk(1024);
     const std::vector<std::uint8_t> noise(net::FrameHeader::kSize, 0x5A);
     junk.feed(noise);
@@ -214,8 +226,8 @@ TEST(NetWire, ChecksumMismatchDropsTheFrameOnly) {
     net::FrameAssembler asm_(1 << 20);
     asm_.feed(bad);
     asm_.feed(good);
-    EXPECT_EQ(asm_.next().status, net::FrameAssembler::Status::kBadChecksum);
-    auto res = asm_.next();
+    EXPECT_EQ(asm_.next_view().status, net::FrameAssembler::Status::kBadChecksum);
+    auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(res.header.request_id, 4u);
 }
@@ -227,7 +239,7 @@ TEST(NetWire, RequestCodecRoundTrips) {
     req.deadline_model_s = 1.5e-3;
     req.priority = 3;
     const auto payload = net::encode_request(req);
-    const auto back = net::decode_request(payload);
+    const auto back = net::decode_request_view(payload, zc::SlabHandle{});
     EXPECT_EQ(back.orig.dims().h, req.orig.dims().h);
     EXPECT_EQ(back.orig.dims().l, req.orig.dims().l);
     ASSERT_EQ(back.orig.data().size(), req.orig.data().size());
@@ -263,23 +275,24 @@ TEST(NetWire, TruncatedPayloadsThrowInsteadOfOverreading) {
     // Every proper prefix must throw WireError — never crash or accept.
     for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{8},
                             payload.size() / 2, payload.size() - 1}) {
-        EXPECT_THROW((void)net::decode_request(
-                         std::span<const std::uint8_t>(payload.data(), len)),
+        EXPECT_THROW((void)net::decode_request_view(
+                         std::span<const std::uint8_t>(payload.data(), len), zc::SlabHandle{}),
                      net::WireError)
             << "prefix " << len;
     }
     // Trailing garbage is rejected too.
     auto padded = payload;
     padded.push_back(0);
-    EXPECT_THROW((void)net::decode_request(padded), net::WireError);
+    EXPECT_THROW((void)net::decode_request_view(padded, zc::SlabHandle{}), net::WireError);
 }
 
 TEST(NetWire, HelloHandshakeValidatesProtocolName) {
     EXPECT_NO_THROW(net::decode_hello(net::encode_hello()));
-    net::Writer w;
-    w.str("cuzc-wire-v0");
-    const auto bad = w.take();
-    EXPECT_THROW(net::decode_hello(bad), net::WireError);
+    for (const char* name : {"cuzc-wire-v0", "cuzc-wire-v1"}) {
+        net::Writer w;
+        w.str(name);
+        EXPECT_THROW(net::decode_hello(w.view()), net::WireError) << name;
+    }
 
     net::HelloAck ack;
     ack.max_frame_payload = 123;
@@ -287,6 +300,13 @@ TEST(NetWire, HelloHandshakeValidatesProtocolName) {
     const auto back = net::decode_hello_ack(net::encode_hello_ack(ack));
     EXPECT_EQ(back.max_frame_payload, 123u);
     EXPECT_EQ(back.max_inflight_per_connection, 7u);
+
+    // The retired revision's ack: its name plus two limits, no stream cap.
+    net::Writer v1_ack;
+    v1_ack.str("cuzc-wire-v1");
+    v1_ack.u64(123);
+    v1_ack.u64(7);
+    EXPECT_THROW((void)net::decode_hello_ack(v1_ack.view()), net::WireError);
 }
 
 // --- Loopback end-to-end ------------------------------------------------
@@ -557,7 +577,7 @@ TEST(NetClient, DuplicateSettleForAnIdIsDroppedNotDoubleCounted) {
         bool first_request = true;
         int served = 0;
         while (served < 2) {
-            auto res = frames.next();
+            auto res = frames.next_view();
             if (res.status == net::FrameAssembler::Status::kNeedMore) {
                 const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
                 if (n <= 0) break;
@@ -567,8 +587,8 @@ TEST(NetClient, DuplicateSettleForAnIdIsDroppedNotDoubleCounted) {
             if (res.status != net::FrameAssembler::Status::kFrame) break;
             const auto type = static_cast<net::FrameType>(res.header.type);
             if (type == net::FrameType::kHello) {
+                net::decode_hello(res.view);
                 net::HelloAck ack;
-                ack.version = net::decode_hello(res.payload);
                 ack.max_frame_payload = 64ull << 20;
                 ack.max_inflight_per_connection = 8;
                 send_all(net::encode_frame(net::FrameType::kHelloAck, 0,
@@ -751,10 +771,10 @@ TEST(NetWire, ReaderRejectsElementCountsWhoseByteSizeWraps) {
     };
     auto overcount = payload;
     poke_u64(overcount, 24 + cfg_bytes + 8 + 4, 0x4000000000000002ull);
-    EXPECT_THROW((void)net::decode_request(overcount), net::WireError);
+    EXPECT_THROW((void)net::decode_request_view(overcount, zc::SlabHandle{}), net::WireError);
     auto overbytes = payload;
     poke_u64(overbytes, overbytes.size() - 8, (1ull << 32) + 7);
-    EXPECT_THROW((void)net::decode_request(overbytes), net::WireError);
+    EXPECT_THROW((void)net::decode_request_view(overbytes, zc::SlabHandle{}), net::WireError);
 }
 
 TEST(NetDataPlane, DecodeRequestViewAliasesTheIngestSlab) {
@@ -816,9 +836,7 @@ TEST(NetDataPlane, StreamAbortAndDisconnectWhileChunksInFlight) {
     net::NetServer server(scfg);
     server.start();
     {
-        auto ccfg = client_config(server.port());
-        ccfg.protocol_version = 2;
-        net::NetClient client(ccfg);
+        net::NetClient client(client_config(server.port()));
         zc::MetricsConfig cfg;
         cfg.pattern2 = false;
         cfg.pattern3 = false;

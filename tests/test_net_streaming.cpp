@@ -1,5 +1,5 @@
 // Tests of cuzc-wire-v2 streaming sessions: the StreamBegin/Chunk/End
-// codecs and their fuzz resistance, Hello version negotiation, the server's
+// codecs and their fuzz resistance, the Hello handshake, the server's
 // stream state machine (raw-frame error paths), and the loopback acceptance
 // bar — a dataset strictly larger than one frame, streamed in chunks, whose
 // reduction moments equal the in-process batch computation bit for bit.
@@ -112,17 +112,17 @@ TEST(NetStreamWire, StreamChunkFrameRoundTripsThroughAssembler) {
 
     net::FrameAssembler asm_(1 << 20);
     asm_.feed(frame);
-    auto res = asm_.next();
+    auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
-    // Stream frames carry the v2 header revision and the stream id.
+    // Stream frames carry header version 2 and the stream id.
     EXPECT_EQ(res.header.version, net::kVersionStreaming);
     EXPECT_EQ(res.header.type, static_cast<std::uint16_t>(net::FrameType::kStreamChunk));
     EXPECT_EQ(res.header.request_id, 99u);
 
-    const auto chunk = net::decode_stream_chunk(res.payload);
+    const auto chunk = net::decode_stream_chunk_ref(res.view, res.slab);
     EXPECT_EQ(chunk.seq, 3u);
-    EXPECT_EQ(chunk.orig, orig);
-    EXPECT_EQ(chunk.dec, dec);
+    EXPECT_TRUE(std::ranges::equal(chunk.orig.data(), orig));
+    EXPECT_TRUE(std::ranges::equal(chunk.dec.data(), dec));
 }
 
 TEST(NetStreamWire, StreamChunkEncodeRejectsEmptyAndSkewedRanges) {
@@ -138,7 +138,7 @@ TEST(NetStreamWire, StreamEndRoundTrips) {
 }
 
 TEST(NetStreamWire, EveryTruncatedStreamPayloadPrefixIsRejected) {
-    // Mirror the v1 decode fuzz: every strict prefix of a valid payload
+    // Mirror the request decode fuzz: every strict prefix of a valid payload
     // must throw WireError — no prefix length may crash or decode.
     const std::vector<float> vals(11, 2.5f);
     const auto chunk_frame = net::encode_stream_chunk_frame(7, 0, vals, vals);
@@ -159,7 +159,8 @@ TEST(NetStreamWire, EveryTruncatedStreamPayloadPrefixIsRejected) {
                         << "payload " << p << " len " << len;
                     break;
                 case 1:
-                    EXPECT_THROW((void)net::decode_stream_chunk(prefix), net::WireError)
+                    EXPECT_THROW((void)net::decode_stream_chunk_ref(prefix, zc::SlabHandle{}),
+                                 net::WireError)
                         << "payload " << p << " len " << len;
                     break;
                 default:
@@ -179,7 +180,7 @@ TEST(NetStreamWire, AssemblerAcceptsV2HeadersAndRejectsV3) {
     net::FrameAssembler asm_(1 << 20);
     asm_.feed(net::encode_frame(net::FrameType::kStreamEnd, 5, payload,
                                 net::kVersionStreaming));
-    auto ok = asm_.next();
+    auto ok = asm_.next_view();
     ASSERT_EQ(ok.status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(ok.header.version, net::kVersionStreaming);
 
@@ -191,40 +192,55 @@ TEST(NetStreamWire, AssemblerAcceptsV2HeadersAndRejectsV3) {
     frame[5] = 0;
     net::FrameAssembler bad(1 << 20);
     bad.feed(frame);
-    EXPECT_EQ(bad.next().status, net::FrameAssembler::Status::kBadVersion);
+    EXPECT_EQ(bad.next_view().status, net::FrameAssembler::Status::kBadVersion);
 }
 
-// --- Hello negotiation ---------------------------------------------------
+// --- Hello handshake -----------------------------------------------------
 
 TEST(NetStreamWire, HelloCarriesTheRequestedRevision) {
-    EXPECT_EQ(net::decode_hello(net::encode_hello()), net::kVersion);
-    EXPECT_EQ(net::decode_hello(net::encode_hello(net::kVersionStreaming)),
-              net::kVersionStreaming);
+    // The Hello is the length-prefixed protocol name and nothing else.
     net::Writer w;
-    w.str("cuzc-wire-v9");
-    EXPECT_THROW((void)net::decode_hello(w.view()), net::WireError);
+    w.str("cuzc-wire-v2");
+    EXPECT_EQ(net::encode_hello(), w.take());
+    EXPECT_NO_THROW(net::decode_hello(net::encode_hello()));
+    // Any other revision, the retired one included, is refused.
+    for (const char* name : {"cuzc-wire-v1", "cuzc-wire-v3", "cuzc-wire-v9", ""}) {
+        net::Writer other;
+        other.str(name);
+        EXPECT_THROW(net::decode_hello(other.view()), net::WireError) << name;
+    }
+    auto padded = net::encode_hello();
+    padded.push_back(0);
+    EXPECT_THROW(net::decode_hello(padded), net::WireError);
 }
 
-TEST(NetStreamWire, HelloAckV1OmitsStreamLimitAndV2RoundTripsIt) {
-    net::HelloAck v1;
-    v1.version = net::kVersion;
-    v1.max_frame_payload = 4096;
-    v1.max_inflight_per_connection = 7;
-    v1.max_streams_per_connection = 99;  // must NOT travel on a v1 ack
-    const auto v1_back = net::decode_hello_ack(net::encode_hello_ack(v1));
-    EXPECT_EQ(v1_back.version, net::kVersion);
-    EXPECT_EQ(v1_back.max_frame_payload, 4096u);
-    EXPECT_EQ(v1_back.max_inflight_per_connection, 7u);
-    EXPECT_EQ(v1_back.max_streams_per_connection, 0u);
+TEST(NetStreamWire, HelloAckRoundTripsEveryServerLimit) {
+    net::HelloAck ack;
+    ack.max_frame_payload = 4096;
+    ack.max_inflight_per_connection = 7;
+    ack.max_streams_per_connection = 99;
+    const auto bytes = net::encode_hello_ack(ack);
+    const auto back = net::decode_hello_ack(bytes);
+    EXPECT_EQ(back.max_frame_payload, 4096u);
+    EXPECT_EQ(back.max_inflight_per_connection, 7u);
+    EXPECT_EQ(back.max_streams_per_connection, 99u);
 
-    net::HelloAck v2 = v1;
-    v2.version = net::kVersionStreaming;
-    const auto v2_back = net::decode_hello_ack(net::encode_hello_ack(v2));
-    EXPECT_EQ(v2_back.version, net::kVersionStreaming);
-    EXPECT_EQ(v2_back.max_streams_per_connection, 99u);
-    // The v2 ack is a strict extension: exactly one extra u64.
-    EXPECT_EQ(net::encode_hello_ack(v2).size(),
-              net::encode_hello_ack(v1).size() + sizeof(std::uint64_t));
+    // One encoding: the length-prefixed protocol name, then three u64s.
+    net::Writer w;
+    w.str("cuzc-wire-v2");
+    w.u64(4096);
+    w.u64(7);
+    w.u64(99);
+    EXPECT_EQ(bytes, w.take());
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        EXPECT_THROW((void)net::decode_hello_ack(
+                         std::span<const std::uint8_t>(bytes.data(), len)),
+                     net::WireError)
+            << "prefix " << len;
+    }
+    auto padded = bytes;
+    padded.push_back(0);
+    EXPECT_THROW((void)net::decode_hello_ack(padded), net::WireError);
 }
 
 // --- Loopback acceptance -------------------------------------------------
@@ -239,7 +255,6 @@ TEST(NetStreamLoopback, DatasetLargerThanFrameMatchesBatchMomentsBitForBit) {
     net::NetServer server(cfg);
     server.start();
     net::NetClient client(client_config(server.port()));
-    EXPECT_EQ(client.server_protocol_version(), net::kVersionStreaming);
     EXPECT_GT(client.server_max_streams(), 0u);
 
     const zc::Dims3 dims{32, 32, 32};  // 128 KiB per field, 256 KiB total
@@ -388,27 +403,6 @@ TEST(NetStreamLoopback, InterleavedStreamsOnOneConnectionBothSettle) {
     EXPECT_EQ(tele.requests_in_flight, 0u);
 }
 
-TEST(NetStreamLoopback, V1ClientIsServedUnchangedAndStreamApisThrow) {
-    net::NetServer server(loopback_config());
-    server.start();
-    auto ccfg = client_config(server.port());
-    ccfg.protocol_version = net::kVersion;  // speak the original protocol
-    net::NetClient client(ccfg);
-    EXPECT_EQ(client.server_protocol_version(), net::kVersion);
-    EXPECT_EQ(client.server_max_streams(), 0u);
-
-    // The whole-frame path is untouched.
-    serve::AssessRequest req;
-    req.orig = tst::smooth_field({10, 12, 14}, 21);
-    req.dec = tst::perturbed(req.orig, 0.01, 121);
-    req.cfg.ssim_window = 4;
-    const auto resp = client.assess(req);
-    EXPECT_FALSE(resp.rejected) << resp.error;
-
-    // Stream entry points refuse locally instead of confusing a v1 server.
-    EXPECT_THROW((void)client.stream_begin({4, 4, 4}, reduction_cfg(), 2), net::WireError);
-}
-
 TEST(NetStreamLoopback, ClientValidatesFeedsAgainstTheDeclaration) {
     net::NetServer server(loopback_config());
     server.start();
@@ -479,14 +473,13 @@ public:
         return true;
     }
 
-    /// Completes the Hello exchange for `version`; returns the ack.
-    [[nodiscard]] net::HelloAck handshake(std::uint16_t version) {
-        EXPECT_TRUE(send(net::encode_frame(net::FrameType::kHello, 0,
-                                           net::encode_hello(version))));
+    /// Completes the Hello exchange; returns the ack.
+    [[nodiscard]] net::HelloAck handshake() {
+        EXPECT_TRUE(send(net::encode_frame(net::FrameType::kHello, 0, net::encode_hello())));
         const auto res = next_frame(5000);
         EXPECT_EQ(res.status, net::FrameAssembler::Status::kFrame);
         EXPECT_EQ(res.header.type, static_cast<std::uint16_t>(net::FrameType::kHelloAck));
-        return net::decode_hello_ack(res.payload);
+        return net::decode_hello_ack(res.view);
     }
 
     /// Blocks until one complete frame arrives (or `timeout_ms` passes,
@@ -495,7 +488,7 @@ public:
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
         for (;;) {
-            auto res = asm_.next();
+            auto res = asm_.next_view();
             if (res.status != net::FrameAssembler::Status::kNeedMore) return res;
             const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                 deadline - std::chrono::steady_clock::now());
@@ -515,7 +508,7 @@ public:
         EXPECT_EQ(res.status, net::FrameAssembler::Status::kFrame);
         EXPECT_EQ(res.header.type, static_cast<std::uint16_t>(net::FrameType::kResponse));
         EXPECT_EQ(res.header.request_id, stream_id);
-        return net::decode_response(res.payload);
+        return net::decode_response(res.view);
     }
 
     void begin_stream(std::uint64_t sid, const net::StreamBegin& sb) {
@@ -546,7 +539,7 @@ TEST(NetStreamServer, OutOfSequenceChunkSettlesTheStreamRejected) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const zc::Dims3 dims{4, 4, 4};
     wire.begin_stream(1, make_begin(dims, 2));
@@ -573,7 +566,7 @@ TEST(NetStreamServer, ReusingASettledStreamIdIsRejectedDeterministically) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const zc::Dims3 dims{4, 4, 4};
     wire.begin_stream(1, make_begin(dims, 2));
@@ -612,7 +605,7 @@ TEST(NetStreamServer, PdfBinsBombInStreamBeginIsRejectedAtTheFramingLayer) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     auto sb = make_begin({4, 4, 4}, 2);
     sb.cfg.pdf_bins = 0x7fffffff;  // encoder does not range-check; decode must
@@ -642,7 +635,7 @@ TEST(NetStreamServer, DuplicateChunkSettlesTheStreamRejected) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const zc::Dims3 dims{4, 4, 4};
     wire.begin_stream(1, make_begin(dims, 4));
@@ -661,7 +654,7 @@ TEST(NetStreamServer, StreamEndWithMissingChunksRejected) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const zc::Dims3 dims{4, 4, 4};
     wire.begin_stream(1, make_begin(dims, 2));
@@ -681,7 +674,7 @@ TEST(NetStreamServer, StreamEndCountsDisagreeingWithArrivalRejected) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const zc::Dims3 dims{4, 4, 4};
     wire.begin_stream(1, make_begin(dims, 2));
@@ -698,7 +691,7 @@ TEST(NetStreamServer, DuplicateStreamBeginRejectedWithoutKillingTheFirst) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const zc::Dims3 dims{4, 4, 4};
     wire.begin_stream(7, make_begin(dims, 1));
@@ -724,7 +717,7 @@ TEST(NetStreamServer, StreamBeginPastTheCapRejected) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    const auto ack = wire.handshake(net::kVersionStreaming);
+    const auto ack = wire.handshake();
     EXPECT_EQ(ack.max_streams_per_connection, 1u);
 
     const zc::Dims3 dims{4, 4, 4};
@@ -745,7 +738,7 @@ TEST(NetStreamServer, ChunkForUnknownStreamIsDroppedNotFatal) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     const auto stray = ramp(16, 6.0f);
     ASSERT_TRUE(wire.send(net::encode_stream_chunk_frame(404, 0, stray, stray)));
@@ -767,7 +760,7 @@ TEST(NetStreamServer, MalformedStreamBeginDeclarationRejected) {
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    (void)wire.handshake(net::kVersionStreaming);
+    (void)wire.handshake();
 
     // An oversize declared byte total must be caught at decode, before any
     // chunk is accepted against it.
@@ -780,20 +773,23 @@ TEST(NetStreamServer, MalformedStreamBeginDeclarationRejected) {
     EXPECT_EQ(server.telemetry().streams_opened, 0u);
 }
 
-TEST(NetStreamServer, StreamFramesOnV1ConnectionCloseIt) {
+TEST(NetStreamServer, RetiredV1HelloClosesTheConnection) {
     net::NetServer server(loopback_config());
     server.start();
     RawWire wire(server.port());
     ASSERT_GE(wire.fd(), 0);
-    const auto ack = wire.handshake(net::kVersion);
-    EXPECT_EQ(ack.version, net::kVersion);
-    EXPECT_EQ(ack.max_streams_per_connection, 0u);
 
-    // Stream frames on a v1-negotiated connection are a protocol violation;
-    // the server closes instead of guessing.
-    wire.begin_stream(1, make_begin({4, 4, 4}, 1));
-    EXPECT_TRUE(peer_closed(wire.fd(), 5000)) << "expected a close";
+    // cuzc-wire-v1 is retired: a Hello naming it is refused like any
+    // unknown protocol. No ack is sent; the server closes instead.
+    net::Writer retired;
+    retired.str("cuzc-wire-v1");
+    ASSERT_TRUE(wire.send(net::encode_frame(net::FrameType::kHello, 0, retired.view())));
+    EXPECT_TRUE(peer_closed(wire.fd(), 5000)) << "expected a close, not a HelloAck";
     EXPECT_GE(server.telemetry().frames_rejected, 1u);
+
+    // The server itself is unharmed: a current client still connects.
+    net::NetClient client(client_config(server.port()));
+    EXPECT_GT(client.server_max_streams(), 0u);
 }
 
 TEST(NetStreamServer, DrainSettlesOpenStreamsRejected) {

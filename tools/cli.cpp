@@ -89,10 +89,10 @@ std::string usage() {
            "pattern-oriented GPU assessment system (cuZ-Checker reproduction).\n"
            "`cuzc serve --replay` replays a cuzc-trace-v1 workload through the\n"
            "in-process assessment service; `cuzc serve --listen` exposes the same\n"
-           "service over TCP speaking cuzc-wire-v1/v2 (drains gracefully on SIGTERM/\n"
+           "service over TCP speaking cuzc-wire-v2 (drains gracefully on SIGTERM/\n"
            "SIGINT); `cuzc replay --connect` replays a trace against such a server;\n"
            "`cuzc assess --connect` assesses a file pair remotely (--stream-chunk=N\n"
-           "uploads it as a v2 streaming session of N-element chunks, which also\n"
+           "uploads it as a streaming session of N-element chunks, which also\n"
            "handles datasets larger than the server's frame-payload limit);\n"
            "`cuzc trace` writes a deterministic mixed workload trace;\n"
            "`cuzc fuzz` runs the seed-deterministic differential fuzzing and\n"
@@ -481,7 +481,7 @@ int run_serve(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     return 0;
 }
 
-/// Upload one materialized request as a v2 streaming session: begin, feed
+/// Upload one materialized request as a streaming session: begin, feed
 /// `chunk_elems`-sized slices, finish. The settling response arrives via
 /// wait(id) like any submitted request, so replay pipelining is unchanged.
 /// Chunks of one entry are queued back-to-back, so the server holds at
@@ -548,7 +548,7 @@ int run_replay_connect(const CliOptions& opt, std::ostream& out, std::ostream& e
 
 /// Assess one file pair on a remote server (`cuzc assess --connect`),
 /// either as a single whole-frame request or — with --stream-chunk — as a
-/// v2 streaming session that never needs the dataset to fit one frame.
+/// streaming session that never needs the dataset to fit one frame.
 int run_assess_connect(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     zc::MetricsConfig cfg;
     if (!opt.config_path.empty()) {
@@ -747,7 +747,7 @@ int run_cli(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     if (opt.version) {
         out << "cuzc " << CUZC_VERSION << "\n"
             << "schemas: cuzc-trace-v1 cuzc-serve-telemetry-v2 cuzc-serve-replay-v2 "
-            << net::kProtocolName << " " << net::kProtocolNameV2 << "\n"
+            << net::kProtocolName << "\n"
             << vgpu::simd::banner() << "\n";
         return 0;
     }

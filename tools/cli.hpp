@@ -44,7 +44,7 @@ struct CliOptions {
     vgpu::FaultPlan faults{};
     bool faults_from_flag = false;
 
-    // `cuzc serve --listen=PORT`: run the cuzc-wire-v1 socket front-end
+    // `cuzc serve --listen=PORT`: run the cuzc-wire-v2 socket front-end
     // instead of an in-process replay.
     bool listen_mode = false;
     std::uint16_t listen_port = 0;  ///< 0 binds an ephemeral port
@@ -58,7 +58,7 @@ struct CliOptions {
 
     // `cuzc assess --connect=HOST:PORT` subcommand: assess a file pair on a
     // remote server. With --stream-chunk=N the dataset goes over the wire
-    // as a v2 streaming session of N-element chunks (bounded server
+    // as a streaming session of N-element chunks (bounded server
     // memory; works for datasets larger than one frame) instead of one
     // whole-frame request. --stream-chunk also applies to `cuzc replay`.
     bool assess_mode = false;
