@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -41,18 +40,11 @@ void set_nonblocking(int fd) {
     if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-[[nodiscard]] std::vector<std::uint8_t> reject_payload(std::string message) {
-    serve::AssessResponse resp;
-    resp.rejected = true;
-    resp.error = std::move(message);
-    return encode_response(resp);
-}
-
 }  // namespace
 
 struct NetServer::Impl {
-    /// Self-pipe constructed before the service so the service's
-    /// on_response hook can capture the write end.
+    /// Self-pipe that interrupts poll() when a completion is posted (and on
+    /// shutdown).
     struct WakePipe {
         int r = -1, w = -1;
         WakePipe() {
@@ -69,27 +61,7 @@ struct NetServer::Impl {
         }
     };
 
-    /// The embedded service config with the completion wake-up wired in:
-    /// the first response fulfilled since the loop last drained the pipe
-    /// writes one byte, so the poller wakes on completions instead of
-    /// rediscovering them on a timeout quantum.
-    [[nodiscard]] serve::ServiceConfig wired_service_config() {
-        serve::ServiceConfig s = cfg.service;
-        const int w = wake.w;
-        std::atomic<bool>* flagged = &wake_flagged;
-        std::atomic<std::uint64_t>* signaled = &completions_signaled;
-        s.on_response = [w, flagged, signaled] {
-            // Strictly after set_value (the service guarantees the order),
-            // so once the loop observes the count the future is ready.
-            signaled->fetch_add(1, std::memory_order_release);
-            if (flagged->exchange(true, std::memory_order_acq_rel)) return;
-            const char b = 1;
-            [[maybe_unused]] const ssize_t n = ::write(w, &b, 1);
-        };
-        return s;
-    }
-
-    explicit Impl(NetServerConfig c) : cfg(std::move(c)), service(wired_service_config()) {
+    explicit Impl(NetServerConfig c) : cfg(std::move(c)), service(cfg.service) {
         listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listen_fd < 0) throw std::runtime_error("net: socket() failed");
         const int one = 1;
@@ -163,31 +135,31 @@ struct NetServer::Impl {
         explicit Conn(std::size_t max_payload) : assembler(max_payload) {}
     };
 
-    struct PendingResp {
+    /// A service completion on its way back to its connection.
+    struct Settled {
         std::uint64_t conn_id = 0;
         std::uint64_t request_id = 0;
-        std::future<serve::AssessResponse> fut;
+        serve::AssessResponse resp;
     };
 
     NetServerConfig cfg;
     WakePipe wake;
-    /// Completion wake-ups pending since the loop last drained the pipe
-    /// (collapses a settle burst into one pipe write).
-    std::atomic<bool> wake_flagged{false};
-    /// Monotonic count of responses the service has fulfilled (the
-    /// on_response hook fires exactly once per settled promise). The loop
-    /// compares it against completions_settled to know how many ready
-    /// futures its scan still owes.
-    std::atomic<std::uint64_t> completions_signaled{0};
-    /// Futures the loop has settled so far (event-loop thread only).
-    std::uint64_t completions_settled = 0;
+    /// Completions posted by the service, in completion order; deliver()
+    /// swaps them out. Declared before `service`, as `wake` is: the
+    /// service's destructor drains and still runs completions.
+    std::mutex settled_mu;
+    std::vector<Settled> settled;
     serve::AssessService service;
     int listen_fd = -1;
     std::uint16_t bound_port = 0;
 
     std::unordered_map<std::uint64_t, Conn> conns;
     std::uint64_t next_conn_id = 1;
-    std::vector<PendingResp> pending;
+    /// Requests submitted to the service whose completion deliver() has
+    /// not handled yet (event-loop thread only).
+    std::size_t unsettled = 0;
+    /// deliver()'s swap partner, kept so both vectors keep their capacity.
+    std::vector<Settled> delivering;
 
     std::atomic<bool> draining{false};
     std::atomic<bool> loop_running{false};
@@ -229,7 +201,7 @@ struct NetServer::Impl {
                     [](const auto& kv) { return kv.second.write_q.empty(); });
                 const bool grace_over =
                     seconds_between(drain_start, Clock::now()) > kDrainGraceSeconds;
-                if ((pending.empty() && flushed) || grace_over) {
+                if ((unsettled == 0 && flushed) || grace_over) {
                     std::vector<std::uint64_t> ids;
                     ids.reserve(conns.size());
                     for (auto& [id, conn] : conns) ids.push_back(id);
@@ -259,21 +231,22 @@ struct NetServer::Impl {
             }
 
             // Completed responses interrupt poll() through the wake pipe
-            // (ServiceConfig::on_response), so the loop can sleep a full
-            // quantum even with settles outstanding instead of spinning a
-            // 1 ms busy-wait against the worker on single-core hosts.
+            // (post()), so the loop can sleep a full quantum even with
+            // requests outstanding instead of spinning a 1 ms busy-wait
+            // against the worker on single-core hosts.
             const int timeout_ms = 25;
             const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
             if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
 
+            // Drain the pipe strictly before deliver() swaps `settled` out:
+            // every completion posted before this read is taken by that
+            // swap, and the first one posted after it finds the vector
+            // empty and writes a byte that stays buffered for the next
+            // poll. post() writes only then, and no wake-up is lost.
             if (fds[0].revents & POLLIN) {
                 char buf[64];
                 while (::read(wake.r, buf, sizeof(buf)) > 0) {
                 }
-                // Re-arm strictly after draining: a hook write landing in
-                // between stays buffered for the next poll instead of
-                // being eaten with the flag left set (a lost wake-up).
-                wake_flagged.store(false, std::memory_order_release);
             }
             for (std::size_t i = 1; i < fds.size(); ++i) {
                 if (fd_conn[i] == 0) {
@@ -294,9 +267,10 @@ struct NetServer::Impl {
                 if (it != conns.end() && (fds[i].revents & POLLOUT)) flush(it->second);
             }
 
-            settle_futures(/*force_probe=*/drain_seen);
-            // Settled futures may have freed in-flight slots; frames that
-            // were buffered while a connection sat at its cap parse now.
+            deliver();
+            // Delivered responses may have freed in-flight slots; frames
+            // that were buffered while a connection sat at its cap parse
+            // now.
             {
                 std::vector<std::uint64_t> ids;
                 ids.reserve(conns.size());
@@ -353,9 +327,9 @@ struct NetServer::Impl {
     }
 
     /// Returns false when the connection was closed. All per-connection
-    /// work is id-based: enqueue_frame -> flush can disconnect a slow
-    /// client and erase the Conn, so references are re-resolved after
-    /// every call that might write.
+    /// work is id-based: reject -> flush can disconnect a slow client and
+    /// erase the Conn, so references are re-resolved after every call
+    /// that might write.
     bool do_read(std::uint64_t id) {
         auto it = conns.find(id);
         if (it == conns.end()) return false;
@@ -398,7 +372,7 @@ struct NetServer::Impl {
             Conn& conn = it->second;
             // Backpressure: past the in-flight cap, leave buffered frames
             // unparsed; the poll loop also stops reading the socket, and
-            // settle_futures() re-drives parsing when slots free up.
+            // re-drives parsing after deliver() frees slots.
             if (conn.inflight >= cfg.max_inflight_per_connection) return true;
             // Zero-copy: handle_frame decodes res.view before the next
             // assembler call, so the payload is never extracted.
@@ -423,8 +397,7 @@ struct NetServer::Impl {
                         close_conn(id);
                         return false;
                     }
-                    enqueue_frame(conn, FrameType::kResponse, res.header.request_id,
-                                  reject_payload("oversized frame rejected"));
+                    reject(conn, res.header.request_id, "oversized frame rejected");
                     break;
                 }
                 case FrameAssembler::Status::kBadChecksum: {
@@ -433,8 +406,7 @@ struct NetServer::Impl {
                         close_conn(id);
                         return false;
                     }
-                    enqueue_frame(conn, FrameType::kResponse, res.header.request_id,
-                                  reject_payload("frame checksum mismatch"));
+                    reject(conn, res.header.request_id, "frame checksum mismatch");
                     break;
                 }
                 case FrameAssembler::Status::kFrame: {
@@ -486,7 +458,7 @@ struct NetServer::Impl {
             ack.max_frame_payload = cfg.max_frame_payload;
             ack.max_inflight_per_connection = cfg.max_inflight_per_connection;
             ack.max_streams_per_connection = cfg.max_streams_per_connection;
-            enqueue_frame(conn, FrameType::kHelloAck, 0, encode_hello_ack(ack));
+            enqueue_built_frame(conn, encode_frame(FrameType::kHelloAck, 0, encode_hello_ack(ack)));
             return conns.count(id) != 0;
         }
         switch (type) {
@@ -499,15 +471,15 @@ struct NetServer::Impl {
                     req = decode_request_view(res.view, res.slab);
                 } catch (const WireError& e) {
                     count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, res.header.request_id,
-                                  reject_payload(std::string("bad request frame: ") + e.what()));
+                    reject(conn, res.header.request_id,
+                           std::string("bad request frame: ") + e.what());
                     return conns.count(id) != 0;
                 }
-                PendingResp p;
-                p.conn_id = id;
-                p.request_id = res.header.request_id;
-                p.fut = service.submit(std::move(req));
-                pending.push_back(std::move(p));
+                service.submit(std::move(req),
+                               [this, id, rid = res.header.request_id](serve::AssessResponse r) {
+                                   post({id, rid, std::move(r)});
+                               });
+                ++unsettled;
                 ++conn.inflight;
                 std::lock_guard lk(tele_mu);
                 ++tele.requests_accepted;
@@ -550,28 +522,22 @@ struct NetServer::Impl {
                     sb = decode_stream_begin(res.view);
                 } catch (const WireError& e) {
                     count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload(std::string("bad stream-begin frame: ") +
-                                                 e.what()));
+                    reject(conn, sid, std::string("bad stream-begin frame: ") + e.what());
                     return conns.count(id) != 0;
                 }
                 if (conn.streams.count(sid) != 0) {
                     count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload("stream id already open"));
+                    reject(conn, sid, "stream id already open");
                     return conns.count(id) != 0;
                 }
                 if (conn.retired_streams.count(sid) != 0) {
                     count_rejected_frame();
-                    enqueue_frame(
-                        conn, FrameType::kResponse, sid,
-                        reject_payload("stream id was already settled on this connection"));
+                    reject(conn, sid, "stream id was already settled on this connection");
                     return conns.count(id) != 0;
                 }
                 if (conn.streams.size() >= cfg.max_streams_per_connection) {
                     count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload("per-connection stream limit reached"));
+                    reject(conn, sid, "per-connection stream limit reached");
                     return conns.count(id) != 0;
                 }
                 conn.streams.emplace(sid, Stream(sb));
@@ -633,17 +599,14 @@ struct NetServer::Impl {
                         abort_stream_rejected(conn, sid,
                                               std::string("bad stream-end frame: ") + e.what());
                     } else {
-                        enqueue_frame(conn, FrameType::kResponse, sid,
-                                      reject_payload(std::string("bad stream-end frame: ") +
-                                                     e.what()));
+                        reject(conn, sid, std::string("bad stream-end frame: ") + e.what());
                     }
                     return conns.count(id) != 0;
                 }
                 auto sit = conn.streams.find(sid);
                 if (sit == conn.streams.end()) {
                     count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload("stream-end for an unknown stream"));
+                    reject(conn, sid, "stream-end for an unknown stream");
                     return conns.count(id) != 0;
                 }
                 Stream& st = sit->second;
@@ -715,8 +678,7 @@ struct NetServer::Impl {
             ++tele.requests_completed;
             --tele.requests_in_flight;
         }
-        // May flush -> close_conn -> erase `conn`; callers re-resolve.
-        enqueue_frame(conn, FrameType::kResponse, stream_id, reject_payload(why));
+        reject(conn, stream_id, why);
     }
 
     /// Reject-settle every open stream of one connection (id-based: each
@@ -729,43 +691,34 @@ struct NetServer::Impl {
         }
     }
 
-    void settle_futures(bool force_probe) {
-        // Queue every ready response first, then flush each touched
-        // connection once — a settle burst becomes one send() per peer
-        // instead of one per response. The scan preserves submission order
-        // and is driven by the completion census: the on_response hook
-        // counts every fulfilled promise, so the scan keeps probing while
-        // settles are still owed — an out-of-order completion (instant
-        // cache hit, sharded fast path) queued behind slow head-of-line
-        // requests is delivered the round it lands — and otherwise stops
-        // after a run of not-ready entries, because wait_for(0) on
-        // hundreds of pending futures every loop round is real event-loop
-        // CPU. force_probe (drain) never stops early.
-        std::uint64_t owed = 0;
+    /// The completion every submitted request carries: runs on a service
+    /// worker, or on this thread for a submit-time rejection. The first
+    /// completion into an empty vector writes the one wake byte the loop
+    /// needs; later ones ride the same delivery.
+    void post(Settled s) noexcept {
+        bool was_empty = false;
         {
-            const std::uint64_t signaled =
-                completions_signaled.load(std::memory_order_acquire);
-            if (signaled > completions_settled) owed = signaled - completions_settled;
+            std::lock_guard lk(settled_mu);
+            was_empty = settled.empty();
+            settled.push_back(std::move(s));
+        }
+        if (!was_empty) return;
+        const char b = 1;
+        [[maybe_unused]] const ssize_t n = ::write(wake.w, &b, 1);
+    }
+
+    /// Frame every posted completion, then flush each touched connection
+    /// once — a settle burst becomes one send() per peer instead of one
+    /// per response.
+    void deliver() {
+        {
+            std::lock_guard lk(settled_mu);
+            delivering.swap(settled);
         }
         std::vector<std::uint64_t> touched;
-        std::size_t kept = 0, miss_streak = 0;
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            const bool ready =
-                (force_probe || owed > 0 || miss_streak < 16) &&
-                pending[i].fut.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
-            if (!ready) {
-                ++miss_streak;
-                if (kept != i) pending[kept] = std::move(pending[i]);
-                ++kept;
-                continue;
-            }
-            miss_streak = 0;
-            ++completions_settled;
-            if (owed > 0) --owed;
-            PendingResp p = std::move(pending[i]);
-            serve::AssessResponse resp = p.fut.get();
-            auto it = conns.find(p.conn_id);
+        for (Settled& s : delivering) {
+            --unsettled;
+            auto it = conns.find(s.conn_id);
             {
                 std::lock_guard lk(tele_mu);
                 --tele.requests_in_flight;
@@ -775,15 +728,14 @@ struct NetServer::Impl {
                     ++tele.requests_failed;  // peer vanished; response dropped
                 }
             }
-            if (it != conns.end()) {
-                if (it->second.inflight > 0) --it->second.inflight;
-                queue_frame(it->second, encode_response_frame(resp, p.request_id));
-                if (std::find(touched.begin(), touched.end(), p.conn_id) == touched.end()) {
-                    touched.push_back(p.conn_id);
-                }
+            if (it == conns.end()) continue;
+            if (it->second.inflight > 0) --it->second.inflight;
+            queue_frame(it->second, encode_response_frame(s.resp, s.request_id));
+            if (std::find(touched.begin(), touched.end(), s.conn_id) == touched.end()) {
+                touched.push_back(s.conn_id);
             }
         }
-        pending.resize(kept);
+        delivering.clear();
         for (std::uint64_t id : touched) {
             auto it = conns.find(id);
             if (it != conns.end()) flush(it->second);
@@ -819,9 +771,14 @@ struct NetServer::Impl {
         for (std::uint64_t id : done) close_conn(id);
     }
 
-    void enqueue_frame(Conn& conn, FrameType type, std::uint64_t request_id,
-                       std::vector<std::uint8_t> payload) {
-        enqueue_built_frame(conn, encode_frame(type, request_id, payload));
+    /// Answer `request_id` with a rejected response, the same frame a
+    /// service rejection produces. May flush -> close_conn -> erase
+    /// `conn`; callers re-resolve.
+    void reject(Conn& conn, std::uint64_t request_id, std::string why) {
+        serve::AssessResponse resp;
+        resp.rejected = true;
+        resp.error = std::move(why);
+        enqueue_built_frame(conn, encode_response_frame(resp, request_id));
     }
 
     /// Queue without flushing (batched senders flush once afterwards).
@@ -890,9 +847,9 @@ struct NetServer::Impl {
         const std::uint64_t open_streams = it->second.streams.size();
         ::close(it->second.fd);
         conns.erase(it);
-        // Pending futures of this connection settle later and count as
-        // failed deliveries (requests_failed) in settle_futures(); open
-        // streams die with the socket, so their ledger entries settle here.
+        // Requests of this connection still in the service count as failed
+        // deliveries (requests_failed) in deliver(); open streams die with
+        // the socket, so their ledger entries settle here.
         std::lock_guard lk(tele_mu);
         ++tele.connections_closed;
         --tele.connections_active;

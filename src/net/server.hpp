@@ -4,9 +4,10 @@
 ///
 /// A single poll()-driven event-loop thread owns the listening socket and
 /// every connection; decoded requests are submitted to an embedded
-/// serve::AssessService (which runs its own device-worker pool), and the
-/// loop settles the returned futures back into response frames. See
-/// DESIGN.md §7 for the protocol, backpressure, and drain semantics.
+/// serve::AssessService (which runs its own device-worker pool), each with
+/// a completion that posts its response back to the loop, which frames it
+/// onto the request's connection. See DESIGN.md §7 for the protocol,
+/// backpressure, and drain semantics.
 
 #include <cstdint>
 #include <memory>

@@ -40,7 +40,7 @@ struct RequestTimeout {};
 struct AssessService::Impl {
     struct Pending {
         AssessRequest req;
-        std::promise<AssessResponse> promise;
+        Completion done;
         Clock::time_point submitted;
         double backlog_at_submit_s = 0;
         double modeled_full_s = 0;
@@ -234,9 +234,9 @@ struct AssessService::Impl {
         return team;
     }
 
-    /// Fulfills an abandoned request's promise if every normal completion
-    /// path was skipped (an exception escaping the handlers themselves):
-    /// the submitter must never see a broken promise.
+    /// Completes an abandoned request if every normal completion path was
+    /// skipped (an exception escaping the handlers themselves): the
+    /// submitter must never wait forever.
     struct CompletionGuard {
         Impl& impl;
         Pending& p;
@@ -253,7 +253,7 @@ struct AssessService::Impl {
         }
     };
 
-    /// Serve one picked request end to end. Always fulfills the promise
+    /// Serve one picked request end to end. Always completes the request
     /// and settles the accounting exactly once, whatever the request path
     /// throws. Returns false when the device itself failed (feeds the
     /// circuit breaker); served requests, validation rejects, and timeouts
@@ -319,12 +319,14 @@ struct AssessService::Impl {
         const zc::FieldRef* dec = &p.req.dec;
         if (!p.req.sz_stream.empty()) {
             try {
+                // Shape first: a stream declaring another field never
+                // costs a decode.
+                if (sz::stream_dims(p.req.sz_stream) != dims) {
+                    throw RequestReject{"SZ stream shape disagrees with the original field"};
+                }
                 dec_storage = sz::decompress(p.req.sz_stream);
             } catch (const std::exception& e) {
                 throw RequestReject{std::string("SZ stream decode failed: ") + e.what()};
-            }
-            if (dec_storage.dims() != dims) {
-                throw RequestReject{"SZ stream shape disagrees with the original field"};
             }
             dec = &dec_storage;
             resp.spans.upload_s += decode_watch.seconds();
@@ -474,10 +476,12 @@ struct AssessService::Impl {
         resp.faults += borrowed_faults_after - borrowed_faults_before;
     }
 
-    /// The single completion point for picked requests: fulfills the
-    /// promise and settles every counter the request touched in one
-    /// critical section, so the telemetry invariants hold at every
-    /// intermediate snapshot, not just after drain.
+    /// The single completion point for picked requests: settles every
+    /// counter the request touched in one critical section, so the
+    /// telemetry invariants hold at every intermediate snapshot, not just
+    /// after drain, then runs the completion outside the lock. `done` must
+    /// not throw: this runs inside process_one's try block, and a throw
+    /// would complete the request a second time.
     void complete(Pending& p, AssessResponse resp, Outcome outcome) {
         {
             std::lock_guard lk(mu);
@@ -509,10 +513,7 @@ struct AssessService::Impl {
             --inflight;
             if (queue.empty() && inflight == 0) drain_cv.notify_all();
         }
-        p.promise.set_value(std::move(resp));
-        // Strictly after set_value: a woken poller must see the future
-        // ready, not sleep another quantum on a spurious wake.
-        if (config.on_response) config.on_response();
+        p.done(std::move(resp));
     }
 };
 
@@ -532,10 +533,10 @@ AssessService::~AssessService() {
     for (auto& w : impl_->workers) w.join();
 }
 
-std::future<AssessResponse> AssessService::submit(AssessRequest req) {
+void AssessService::submit(AssessRequest req, Completion done) {
     auto pending = std::make_unique<Impl::Pending>();
     pending->submitted = Clock::now();
-    auto future = pending->promise.get_future();
+    pending->done = std::move(done);
 
     std::string invalid;
     if (req.orig.size() == 0) {
@@ -560,7 +561,7 @@ std::future<AssessResponse> AssessService::submit(AssessRequest req) {
             impl_->tele.max_queue_depth =
                 std::max<std::uint64_t>(impl_->tele.max_queue_depth, impl_->queue.size());
             impl_->work_cv.notify_one();
-            return future;
+            return;
         }
         if (invalid.empty()) invalid = "queue full (admission control)";
         // Submit-time rejections settle inside the same critical section
@@ -574,8 +575,14 @@ std::future<AssessResponse> AssessService::submit(AssessRequest req) {
     }
     rejected.rejected = true;
     rejected.error = invalid;
-    pending->promise.set_value(std::move(rejected));
-    if (impl_->config.on_response) impl_->config.on_response();
+    pending->done(std::move(rejected));
+}
+
+std::future<AssessResponse> AssessService::submit(AssessRequest req) {
+    auto promise = std::make_shared<std::promise<AssessResponse>>();
+    auto future = promise->get_future();
+    submit(std::move(req),
+           [promise](AssessResponse resp) { promise->set_value(std::move(resp)); });
     return future;
 }
 
@@ -603,11 +610,6 @@ ServiceTelemetry AssessService::telemetry() const {
     t.cache_size = impl_->cache.size();
     t.data_plane = zc::data_plane_stats();
     return t;
-}
-
-std::size_t AssessService::queue_depth() const {
-    std::lock_guard lk(impl_->mu);
-    return impl_->queue.size();
 }
 
 const ServiceConfig& AssessService::config() const noexcept { return impl_->config; }

@@ -25,7 +25,7 @@ struct ServiceConfig {
     /// Coalesce same-shape requests onto one device/buffer epoch.
     bool coalesce = true;
     /// Admission control: submissions beyond this queue depth are rejected
-    /// immediately (future resolves with rejected=true). 0 = unlimited.
+    /// immediately (they complete with rejected=true). 0 = unlimited.
     std::size_t max_queue_depth = 0;
     /// Don't spawn workers in the constructor; callers submit first and
     /// call start() — this makes coalescing deterministic for tests.
@@ -73,13 +73,6 @@ struct ServiceConfig {
     /// (worker i runs the plan with seed + i, so devices fail
     /// independently but reproducibly). Disabled unless faults.enabled().
     vgpu::FaultPlan faults{};
-
-    /// Called right after each response's future is fulfilled — from a
-    /// worker thread, or from the submitting thread for submit-time
-    /// rejections. Event loops embedding the service use this to wake
-    /// their poller instead of sleeping on a timeout quantum. Must be
-    /// cheap and must not throw.
-    std::function<void()> on_response{};
 };
 
 /// In-process multi-device assessment service (the ROADMAP's "serving"
@@ -94,7 +87,7 @@ struct ServiceConfig {
 /// (post-degradation) config, whether the result came from kernels or from
 /// the cache.
 ///
-/// Containment contract: every submitted request's future is fulfilled,
+/// Containment contract: every submitted request completes exactly once,
 /// no matter what the request path throws — decode errors, allocation
 /// failures, kernel aborts (injected or real) all resolve as
 /// `rejected == true` with the error message; workers never die and the
@@ -111,6 +104,16 @@ public:
     AssessService(const AssessService&) = delete;
     AssessService& operator=(const AssessService&) = delete;
 
+    /// Receives a request's response; see submit(AssessRequest, Completion).
+    using Completion = std::function<void(AssessResponse)>;
+
+    /// Enqueue a request; `done` runs exactly once with its response. It
+    /// runs on the worker that served it, after every telemetry counter
+    /// has settled and with no service lock held, or — for a submit-time
+    /// rejection (invalid request, queue full) — on the calling thread
+    /// before submit returns. It must not throw. Safe from any thread.
+    void submit(AssessRequest req, Completion done);
+
     /// Enqueue a request; the future resolves when it is served (or
     /// rejected). Safe from any thread.
     [[nodiscard]] std::future<AssessResponse> submit(AssessRequest req);
@@ -125,7 +128,6 @@ public:
     /// Point-in-time copy of the service counters (cache stats included).
     [[nodiscard]] ServiceTelemetry telemetry() const;
 
-    [[nodiscard]] std::size_t queue_depth() const;
     [[nodiscard]] const ServiceConfig& config() const noexcept;
 
 private:

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -58,8 +59,6 @@ public:
 
     [[nodiscard]] bool get_bit() { return get(1) != 0; }
 
-    [[nodiscard]] std::size_t bits_consumed() const noexcept { return pos_ * 8 - filled_; }
-
 private:
     std::span<const std::uint8_t> data_;
     std::size_t pos_ = 0;
@@ -86,6 +85,8 @@ private:
     std::vector<std::uint8_t> out_;
 };
 
+/// Bounds-checked in every build type: stream bytes may come off the wire,
+/// so a short read throws std::invalid_argument.
 class ByteReader {
 public:
     explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
@@ -93,21 +94,26 @@ public:
     template <class T>
     [[nodiscard]] T get() {
         static_assert(std::is_trivially_copyable_v<T>);
-        assert(pos_ + sizeof(T) <= data_.size());
+        need(sizeof(T));
         T v;
         std::memcpy(&v, data_.data() + pos_, sizeof(T));
         pos_ += sizeof(T);
         return v;
     }
     [[nodiscard]] std::span<const std::uint8_t> get_bytes(std::size_t n) {
-        assert(pos_ + n <= data_.size());
+        need(n);
         auto s = data_.subspan(pos_, n);
         pos_ += n;
         return s;
     }
     [[nodiscard]] std::size_t position() const noexcept { return pos_; }
+    [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
 private:
+    void need(std::size_t n) const {
+        if (n > remaining()) throw std::invalid_argument("sz: truncated stream");
+    }
+
     std::span<const std::uint8_t> data_;
     std::size_t pos_ = 0;
 };

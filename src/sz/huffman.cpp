@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <queue>
+#include <stdexcept>
 
 namespace cuzc::sz {
 
@@ -81,6 +82,17 @@ HuffmanCodec HuffmanCodec::from_frequencies(std::span<const std::uint64_t> freq)
 }
 
 HuffmanCodec HuffmanCodec::from_lengths(std::vector<std::uint8_t> lengths) {
+    // Kraft sum in units of 2^-kMaxCodeLen; each term is at most 2^56, so
+    // the running sum cannot wrap before it passes 1.
+    std::uint64_t kraft = 0;
+    for (const auto len : lengths) {
+        if (len == 0) continue;
+        if (len > kMaxCodeLen) throw std::invalid_argument("huffman: code length over 57 bits");
+        kraft += 1ull << (kMaxCodeLen - len);
+        if (kraft > 1ull << kMaxCodeLen) {
+            throw std::invalid_argument("huffman: code lengths oversubscribe the code space");
+        }
+    }
     HuffmanCodec c;
     c.lengths_ = std::move(lengths);
     c.build_canonical();
@@ -137,8 +149,7 @@ std::vector<std::uint32_t> HuffmanCodec::decode(BitReader& in, std::size_t count
         unsigned len = 0;
         for (;;) {
             code = (code << 1) | (in.get_bit() ? 1u : 0u);
-            ++len;
-            assert(len <= max_len_ && "corrupt huffman stream");
+            if (++len > max_len_) throw std::invalid_argument("huffman: corrupt stream");
             if (count_[len] > 0 && code >= first_code_[len] &&
                 code - first_code_[len] < count_[len]) {
                 out.push_back(

@@ -18,14 +18,16 @@ public:
     /// frequency receive no code. At least one symbol must be present.
     static HuffmanCodec from_frequencies(std::span<const std::uint64_t> freq);
 
-    /// Rebuild from serialized code lengths.
+    /// Rebuild from serialized code lengths. Throws std::invalid_argument
+    /// on a length over 57 bits or lengths no prefix code has (Kraft sum
+    /// over 1).
     static HuffmanCodec from_lengths(std::vector<std::uint8_t> lengths);
 
     void encode(std::span<const std::uint32_t> symbols, BitWriter& out) const;
+    /// Throws std::invalid_argument on a bit pattern that is no code.
     [[nodiscard]] std::vector<std::uint32_t> decode(BitReader& in, std::size_t count) const;
 
     [[nodiscard]] const std::vector<std::uint8_t>& lengths() const noexcept { return lengths_; }
-    [[nodiscard]] std::size_t alphabet_size() const noexcept { return lengths_.size(); }
 
     /// Expected encoded size in bits for the given frequencies (used by the
     /// compression-ratio estimator and tested against actual output).

@@ -16,7 +16,6 @@ public:
     LinearQuantizer(double error_bound, std::uint32_t num_codes) noexcept
         : eb_(error_bound), radius_(num_codes / 2), num_codes_(num_codes) {}
 
-    [[nodiscard]] double error_bound() const noexcept { return eb_; }
     [[nodiscard]] std::uint32_t radius() const noexcept { return radius_; }
     [[nodiscard]] std::uint32_t num_codes() const noexcept { return num_codes_; }
 

@@ -27,6 +27,18 @@ double effective_bound(const zc::Tensor3f& input, const SzConfig& cfg) {
     return range > 0 ? cfg.rel_error_bound * range : cfg.rel_error_bound;
 }
 
+/// Magic and field shape: the head of every stream.
+zc::Dims3 read_header(ByteReader& r) {
+    if (r.get<std::uint32_t>() != kMagic) {
+        throw std::invalid_argument("sz::decompress: bad magic");
+    }
+    zc::Dims3 d;
+    d.h = r.get<std::uint64_t>();
+    d.w = r.get<std::uint64_t>();
+    d.l = r.get<std::uint64_t>();
+    return d;
+}
+
 }  // namespace
 
 SzCompressed compress(const zc::Tensor3f& input, const SzConfig& cfg) {
@@ -108,18 +120,27 @@ SzCompressed compress(const zc::Tensor3f& input, const SzConfig& cfg) {
     return out;
 }
 
-zc::Field decompress(std::span<const std::uint8_t> bytes) {
+zc::Dims3 stream_dims(std::span<const std::uint8_t> bytes) {
     ByteReader r(bytes);
-    if (r.get<std::uint32_t>() != kMagic) {
-        throw std::invalid_argument("sz::decompress: bad magic");
+    return read_header(r);
+}
+
+zc::Field decompress(std::span<const std::uint8_t> bytes) {
+    // The stream may be hostile: the counts below are checked against the
+    // bytes left before anything is sized by them. num_codes, which sizes
+    // the dense code-length table, is not bounded yet.
+    ByteReader r(bytes);
+    const zc::Dims3 d = read_header(r);
+    std::size_t n = 0;
+    if (__builtin_mul_overflow(d.h, d.w, &n) || __builtin_mul_overflow(n, d.l, &n)) {
+        throw std::invalid_argument("sz::decompress: field volume overflows");
     }
-    zc::Dims3 d;
-    d.h = r.get<std::uint64_t>();
-    d.w = r.get<std::uint64_t>();
-    d.l = r.get<std::uint64_t>();
     const double eb = r.get<double>();
     const std::uint32_t num_codes = r.get<std::uint32_t>();
     const std::uint32_t present = r.get<std::uint32_t>();
+    if (present > r.remaining() / 5) {  // 5 bytes per (symbol, length) entry
+        throw std::invalid_argument("sz::decompress: truncated code table");
+    }
     std::vector<std::uint8_t> lengths(num_codes, 0);
     for (std::uint32_t i = 0; i < present; ++i) {
         const std::uint32_t s = r.get<std::uint32_t>();
@@ -128,6 +149,9 @@ zc::Field decompress(std::span<const std::uint8_t> bytes) {
         lengths[s] = len;
     }
     const std::uint64_t n_unpred = r.get<std::uint64_t>();
+    if (n_unpred > r.remaining() / sizeof(float)) {
+        throw std::invalid_argument("sz::decompress: truncated unpredictables");
+    }
     const auto unpred_bytes = r.get_bytes(n_unpred * sizeof(float));
     std::vector<float> unpred(n_unpred);
     if (!unpred_bytes.empty()) {
@@ -135,10 +159,13 @@ zc::Field decompress(std::span<const std::uint8_t> bytes) {
     }
     const std::uint64_t stream_size = r.get<std::uint64_t>();
     const auto stream = r.get_bytes(stream_size);
+    // Every element carries a code of at least one bit.
+    if (n > stream.size() * 8) {
+        throw std::invalid_argument("sz::decompress: field larger than its code stream");
+    }
 
     const HuffmanCodec codec = HuffmanCodec::from_lengths(std::move(lengths));
     BitReader bits(stream);
-    const std::size_t n = d.volume();
     const std::vector<std::uint32_t> codes = codec.decode(bits, n);
 
     const LinearQuantizer quant(eb, num_codes);

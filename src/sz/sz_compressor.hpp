@@ -38,7 +38,13 @@ struct SzCompressed {
 /// Guarantees |decompress(compress(x))_i - x_i| <= effective bound for all i.
 [[nodiscard]] SzCompressed compress(const zc::Tensor3f& input, const SzConfig& cfg);
 
-/// Inverse of `compress`.
+/// Inverse of `compress`. Throws std::invalid_argument on any stream it
+/// cannot decode, including truncated or hostile bytes.
 [[nodiscard]] zc::Field decompress(std::span<const std::uint8_t> bytes);
+
+/// The field shape a stream's header declares, read without decoding, so a
+/// caller can reject a mismatch before paying for the decode. Throws
+/// std::invalid_argument on a bad magic or a short header.
+[[nodiscard]] zc::Dims3 stream_dims(std::span<const std::uint8_t> bytes);
 
 }  // namespace cuzc::sz

@@ -314,7 +314,9 @@ TEST_F(CliFixture, ThreadsFlagOverridesEnv) {
 }
 
 TEST_F(CliFixture, ServeReplayEmitsTelemetryJson) {
-    const auto trace_path = dir / "smoke.trace";
+    // A quote and a backslash in the trace name must reach the JSON
+    // escaped, or the artifact no longer parses.
+    const auto trace_path = dir / "smoke \"q\" \\b.trace";
     {
         std::ofstream t(trace_path);
         t << "# cuzc-trace-v1\n"
@@ -339,6 +341,8 @@ TEST_F(CliFixture, ServeReplayEmitsTelemetryJson) {
     EXPECT_NE(out.find("\"devices\": 1"), std::string::npos);
     EXPECT_NE(out.find("\"threads\": "), std::string::npos);
     EXPECT_NE(out.find("\"results_fnv\": \"0x"), std::string::npos);
+    EXPECT_NE(out.find("/smoke \\\"q\\\" \\\\b.trace\",\n"), std::string::npos) << out;
+    EXPECT_EQ(out.find("smoke \"q\""), std::string::npos);
 }
 
 TEST_F(CliFixture, ServeReplayMissingTraceFails) {

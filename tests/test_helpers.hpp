@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "data/noise.hpp"
+#include "sz/bitstream.hpp"
 #include "zc/field_buffer.hpp"
 #include "zc/report.hpp"
 #include "zc/tensor.hpp"
@@ -174,6 +176,27 @@ inline void expect_reports_identical(const zc::AssessmentReport& a,
     EXPECT_EQ(sa.autocorr, sb.autocorr);
     EXPECT_EQ(a.ssim.windows, b.ssim.windows);
     EXPECT_EQ(a.ssim.ssim, b.ssim.ssim);
+}
+
+/// An SZ stream in sz::compress's layout declaring `dims`, whose code
+/// table holds one symbol with a 1-bit code and whose Huffman payload is
+/// `payload`: the building block of hostile-stream tests.
+inline std::vector<std::uint8_t> one_symbol_sz_stream(zc::Dims3 dims,
+                                                      const std::vector<std::uint8_t>& payload) {
+    sz::ByteWriter w;
+    w.put<std::uint32_t>(0x435a5343);  // magic
+    w.put<std::uint64_t>(dims.h);
+    w.put<std::uint64_t>(dims.w);
+    w.put<std::uint64_t>(dims.l);
+    w.put<double>(1e-3);       // error bound
+    w.put<std::uint32_t>(16);  // num_codes
+    w.put<std::uint32_t>(1);   // symbols present
+    w.put<std::uint32_t>(8);   // the symbol (code 0 after the radius shift)
+    w.put<std::uint8_t>(1);    // its code length
+    w.put<std::uint64_t>(0);   // unpredictable values
+    w.put<std::uint64_t>(payload.size());
+    w.put_bytes(payload);
+    return w.finish();
 }
 
 }  // namespace cuzc::testing

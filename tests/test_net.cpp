@@ -268,6 +268,14 @@ TEST(NetWire, ResponseCodecRoundTripsBitIdenticalReport) {
     EXPECT_EQ(back.shed[0], "ssim");
     // Bit identity via the canonical report encoding.
     EXPECT_EQ(net::encode_report(back.result.report), net::encode_report(resp.result.report));
+
+    // The server frames its own rejections with encode_response_frame:
+    // the same bytes as framing the encoded payload.
+    serve::AssessResponse rejected;
+    rejected.rejected = true;
+    rejected.error = "frame checksum mismatch";
+    EXPECT_EQ(net::encode_response_frame(rejected, 77),
+              net::encode_frame(net::FrameType::kResponse, 77, net::encode_response(rejected)));
 }
 
 TEST(NetWire, TruncatedPayloadsThrowInsteadOfOverreading) {
@@ -401,6 +409,75 @@ TEST(NetServer, PipelinedRequestsSettleOutOfOrderWaits) {
                   net::encode_report(direct_report(reqs[i])));
     }
     EXPECT_EQ(client.outstanding(), 0u);
+}
+
+TEST(NetServer, CacheHitBehindSlowMissIsDeliveredFirst) {
+    // Responses leave in completion order: a cache hit submitted behind a
+    // slow miss on the same connection does not wait for the miss.
+    auto cfg = loopback_config();
+    cfg.service.devices = 2;
+    net::NetServer server(cfg);
+    server.start();
+    net::NetClient client(client_config(server.port()));
+
+    const auto small = make_request(41);
+    ASSERT_FALSE(client.assess(small).rejected);  // warm the cache
+
+    serve::AssessRequest miss;
+    miss.orig = tst::smooth_field({64, 64, 64}, 42);
+    miss.dec = tst::perturbed(miss.orig, 0.01, 142);
+    miss.cfg = zc::MetricsConfig::all();
+    const std::uint64_t miss_id = client.submit(miss);
+    const std::uint64_t hit_id = client.submit(small);
+
+    std::optional<std::pair<std::uint64_t, serve::AssessResponse>> first;
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!(first = client.take_response())) {
+        ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(60));
+        client.pump(0.05);
+    }
+    EXPECT_EQ(first->first, hit_id);
+    EXPECT_TRUE(first->second.cache_hit);
+    const auto slow = client.wait(miss_id);
+    EXPECT_FALSE(slow.rejected) << slow.error;
+    EXPECT_FALSE(slow.cache_hit);
+}
+
+TEST(NetServer, HostileSzStreamIsRejectedAndTheConnectionServesOn) {
+    // SZ streams come off the wire and decode on a service worker: each
+    // hostile one gets a rejected response, and the same connection then
+    // serves a valid request.
+    net::NetServer server(loopback_config());
+    server.start();
+    net::NetClient client(client_config(server.port()));
+
+    const auto valid = make_request(31);
+    const auto expected = net::encode_report(direct_report(valid));
+    const std::vector<std::vector<std::uint8_t>> hostile = {
+        {0x43, 0x53, 0x5a, 0x43},  // the magic and nothing else
+        // No code matches a 1 bit.
+        tst::one_symbol_sz_stream(kDims, std::vector<std::uint8_t>(kDims.volume() / 8 + 1, 0xFF)),
+        // More elements than the one payload byte can code.
+        tst::one_symbol_sz_stream(kDims, {0x00}),
+        // A shape whose volume wraps to 0.
+        tst::one_symbol_sz_stream({1ull << 32, 1ull << 32, 1}, {0x00}),
+    };
+    for (const auto& bytes : hostile) {
+        serve::AssessRequest req;
+        req.orig = valid.orig;
+        req.cfg = valid.cfg;
+        req.sz_stream = bytes;
+        const auto resp = client.assess(req);
+        EXPECT_TRUE(resp.rejected);
+        EXPECT_NE(resp.error.find("SZ stream"), std::string::npos) << resp.error;
+
+        const auto ok = client.assess(valid);
+        EXPECT_FALSE(ok.rejected) << ok.error;
+        EXPECT_EQ(net::encode_report(ok.result.report), expected);
+    }
+    const auto tele = server.telemetry();
+    EXPECT_EQ(tele.requests_completed, 2 * hostile.size());
+    EXPECT_EQ(tele.frames_rejected, 0u);
 }
 
 TEST(NetServer, InflightCapBackpressureStillCompletesEverything) {

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -212,6 +216,83 @@ TEST(Serve, MalformedRequestRejectedImmediately) {
     const auto resp = service.submit(std::move(req)).get();
     EXPECT_TRUE(resp.rejected);
     EXPECT_NE(resp.error.find("mismatch"), std::string::npos);
+}
+
+TEST(Serve, CallbackSubmitCompletesOnceAfterTelemetrySettles) {
+    // One request: by the time its completion runs, the telemetry already
+    // counts it as served, with nothing left in flight.
+    {
+        serve::AssessService service;
+        std::promise<serve::ServiceTelemetry> seen;
+        service.submit(make_request(61), [&](serve::AssessResponse resp) {
+            EXPECT_FALSE(resp.rejected) << resp.error;
+            seen.set_value(service.telemetry());
+        });
+        const serve::ServiceTelemetry t = seen.get_future().get();
+        EXPECT_EQ(t.served, 1u);
+        EXPECT_EQ(t.inflight, 0u);
+        EXPECT_EQ(t.latency.count, 1u);
+    }
+
+    // Many requests on two workers, some of them cache hits: each
+    // completion runs exactly once, and every completion that has started
+    // had its counters settled before it ran.
+    constexpr std::size_t kN = 12;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<int> calls(kN, 0);
+    std::size_t started = 0;
+    bool counted = true;
+    {
+        serve::ServiceConfig scfg;
+        scfg.devices = 2;
+        serve::AssessService service(scfg);
+        for (std::size_t i = 0; i < kN; ++i) {
+            service.submit(make_request(70 + i % 4), [&, i](serve::AssessResponse resp) {
+                std::lock_guard lk(mu);
+                ++calls[i];
+                ++started;
+                const serve::ServiceTelemetry t = service.telemetry();
+                counted = counted && !resp.rejected && t.served >= started &&
+                          t.latency.count >= started;
+                cv.notify_all();
+            });
+        }
+        std::unique_lock lk(mu);
+        EXPECT_TRUE(cv.wait_for(lk, std::chrono::seconds(60), [&] { return started == kN; }));
+    }  // the destructor joins the workers: a repeat completion has run by now
+    EXPECT_TRUE(counted);
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(calls[i], 1) << i;
+}
+
+TEST(Serve, SubmitTimeRejectionCompletesOnTheCallingThread) {
+    serve::ServiceConfig scfg;
+    scfg.start_paused = true;
+    scfg.max_queue_depth = 1;
+    serve::AssessService service(scfg);
+
+    // Invalid request (empty original) and queue full: both complete on
+    // this thread before submit returns, already counted as rejected.
+    service.submit(make_request(81), [](serve::AssessResponse) {});
+    std::uint64_t rejections = 0;
+    const auto expect_inline_rejection = [&](serve::AssessRequest req, const std::string& why) {
+        std::optional<std::thread::id> ran_on;
+        serve::AssessResponse got;
+        std::uint64_t rejected_seen = 0;
+        service.submit(std::move(req), [&](serve::AssessResponse resp) {
+            ran_on = std::this_thread::get_id();
+            rejected_seen = service.telemetry().rejected;
+            got = std::move(resp);
+        });
+        ++rejections;
+        ASSERT_TRUE(ran_on.has_value()) << why;
+        EXPECT_EQ(*ran_on, std::this_thread::get_id());
+        EXPECT_TRUE(got.rejected);
+        EXPECT_EQ(got.error, why);
+        EXPECT_EQ(rejected_seen, rejections);
+    };
+    expect_inline_rejection(serve::AssessRequest{}, "empty original field");
+    expect_inline_rejection(make_request(82), "queue full (admission control)");
 }
 
 TEST(Serve, SzStreamRequestDecodesOnWorker) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <vector>
 
 #include "data/noise.hpp"
 #include "sz/huffman.hpp"
@@ -105,6 +107,23 @@ TEST(Huffman, LengthsSatisfyKraftEquality) {
     if (present > 1) {
         EXPECT_NEAR(kraft, 1.0, 1e-12);  // full binary tree
     }
+}
+
+TEST(Huffman, SerializedLengthsAreValidatedAndBadCodesThrow) {
+    // Lengths arrive from untrusted streams: a length past the bit-I/O
+    // limit, or more codes than the code space holds, is refused.
+    EXPECT_THROW((void)sz::HuffmanCodec::from_lengths({58}), std::invalid_argument);
+    EXPECT_THROW((void)sz::HuffmanCodec::from_lengths({1, 1, 1}), std::invalid_argument);
+    EXPECT_THROW((void)sz::HuffmanCodec::from_lengths({1, 2, 2, 3}), std::invalid_argument);
+    EXPECT_NO_THROW((void)sz::HuffmanCodec::from_lengths({57}));
+    EXPECT_NO_THROW((void)sz::HuffmanCodec::from_lengths({1, 2, 2}));
+
+    // An incomplete code: bit pattern 1 is no code, so decoding throws
+    // instead of walking past the longest length.
+    const auto codec = sz::HuffmanCodec::from_lengths({1});
+    const std::vector<std::uint8_t> ones{0xFF};
+    sz::BitReader r(ones);
+    EXPECT_THROW((void)codec.decode(r, 1), std::invalid_argument);
 }
 
 TEST(Huffman, SerializationViaLengthsRebuildsSameCodes) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "data/datasets.hpp"
 #include "sz/sz.hpp"
@@ -182,6 +184,27 @@ TEST(SzCompressor, CorruptStreamIsRejected) {
     auto comp = sz::compress(f.view(), cfg);
     comp.bytes[0] ^= 0xFF;  // break the magic
     EXPECT_THROW((void)sz::decompress(comp.bytes), std::invalid_argument);
+
+    // Hostile streams must throw in every build type, never read or write
+    // out of bounds or allocate for a shape the bytes cannot hold.
+    const std::vector<std::uint8_t> magic_only{0x43, 0x53, 0x5a, 0x43};
+    EXPECT_THROW((void)sz::decompress(magic_only), std::invalid_argument);
+    // Bit 1 is no code when the only code is the 1-bit 0.
+    EXPECT_THROW((void)sz::decompress(tst::one_symbol_sz_stream({1, 1, 8}, {0xFF})),
+                 std::invalid_argument);
+    // 2^32 x 2^32 x 1 wraps to a volume of 0.
+    EXPECT_THROW(
+        (void)sz::decompress(tst::one_symbol_sz_stream({1ull << 32, 1ull << 32, 1}, {0x00})),
+        std::invalid_argument);
+    // 268 M elements declared by a 66-byte stream: more than 8 per byte.
+    const auto bomb = tst::one_symbol_sz_stream({1024, 1024, 256}, {0x00});
+    EXPECT_EQ(bomb.size(), 66u);
+    EXPECT_THROW((void)sz::decompress(bomb), std::invalid_argument);
+
+    // The same layout with a payload that can hold the field decodes.
+    const zc::Field ones = sz::decompress(tst::one_symbol_sz_stream({1, 1, 8}, {0x00}));
+    EXPECT_EQ(ones.dims(), (zc::Dims3{1, 1, 8}));
+    EXPECT_EQ(sz::stream_dims(bomb), (zc::Dims3{1024, 1024, 256}));
 }
 
 TEST(SzCompressor, UnpredictableCountReported) {

@@ -411,10 +411,29 @@ struct ReplaySummary {
     return 0;
 }
 
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped.
+[[nodiscard]] std::string json_string(std::string_view s) {
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char esc[8];
+            std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
+            out += esc;
+        } else {
+            out += c;
+        }
+    }
+    return out + '"';
+}
+
 void write_replay_json(std::ostream& os, const CliOptions& opt, const ReplaySummary& sum) {
     os << "{\n"
        << "  \"schema\": \"cuzc-serve-replay-v2\",\n"
-       << "  \"trace\": \"" << opt.replay_path << "\",\n"
+       << "  \"trace\": " << json_string(opt.replay_path) << ",\n"
        << "  \"simd\": \"" << vgpu::simd::banner() << "\",\n"
        << "  \"devices\": " << opt.devices << ",\n"
        << "  \"threads\": " << vgpu::BlockScheduler::instance().max_workers() << ",\n"
@@ -536,7 +555,8 @@ int run_replay_connect(const CliOptions& opt, std::ostream& out, std::ostream& e
     if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
     write_replay_json(*sink, opt, sum);
     *sink << "  \"client\": {\n"
-          << "    \"server\": \"" << opt.connect_host << ":" << opt.connect_port << "\",\n"
+          << "    \"server\": "
+          << json_string(opt.connect_host + ":" + std::to_string(opt.connect_port)) << ",\n"
           << "    \"frames_tx\": " << client.frames_tx() << ",\n"
           << "    \"frames_rx\": " << client.frames_rx() << ",\n"
           << "    \"bytes_tx\": " << client.bytes_tx() << ",\n"
@@ -774,13 +794,13 @@ int run_cli(const CliOptions& opt, std::ostream& out, std::ostream& err) {
             zc::CompressionStats cs;
             cs.raw_bytes = opt.dims.volume() * sizeof(float);
             cs.compressed_bytes = stream.size();
-            const zc::Stopwatch watch;
-            dec = sz::decompress(stream);
-            cs.decompress_seconds = watch.seconds();
-            if (dec.dims() != opt.dims) {
+            if (sz::stream_dims(stream) != opt.dims) {
                 err << "cuzc: SZ stream shape disagrees with --dims\n";
                 return 2;
             }
+            const zc::Stopwatch watch;
+            dec = sz::decompress(stream);
+            cs.decompress_seconds = watch.seconds();
             comp_stats = cs;
         } else {
             dec = data::read_f32(opt.dec_path, opt.dims);
