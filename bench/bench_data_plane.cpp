@@ -1,64 +1,43 @@
-// A/B measurement of the zero-copy data plane over a loopback serve run.
+// The zero-copy data plane's copy ledger over a loopback serve run.
 //
-// Both legs replay the identical trace through a fresh `NetServer` on
-// 127.0.0.1, one request at a time (synchronous `assess`, so every frame
+// The trace replays through a fresh `NetServer` on 127.0.0.1, one request
+// at a time (each sent after the previous response arrived, so every frame
 // lands at the assembler's aligned parking offset and the decode can
-// alias). The legacy leg flips `zc::set_data_plane_force_copy(true)`,
-// which disables aliasing everywhere — socket decode stages into a fresh
-// slab and `DeviceBuffer::adopt` degrades to a counted memcpy — i.e. the
-// data plane as it behaved before zero-copy landed: four field copies per
-// request (two at decode, two at upload). The zero-copy leg runs with the
-// switch off and should alias end to end: zero payload copies, two device
-// adoptions per computed request.
+// alias). Socket decode should alias each payload in place and
+// `DeviceBuffer::adopt` should alias it again at upload: zero payload
+// copies end to end, and two device adoptions (orig and dec) for every
+// request the result cache does not answer.
 //
-// Two gates make the number honest:
-//   - bit-identity: every zero-copy response's report must encode to
-//     exactly the bytes the legacy leg produced for the same trace entry
+// Gates:
+//   - bit-identity: every response's report must encode to exactly the
+//     bytes the in-process service produces for the same trace entry
 //     (aliasing must not perturb results);
-//   - copies budget: with --check the run fails (exit 1) unless the
-//     legacy leg moved at least 2x the payload bytes the zero-copy leg
-//     did — the acceptance floor for the refactor.
+//   - copies (with --check): the ledger shows 0 payload bytes copied and
+//     exactly 2 adoptions per cache miss. One copy at decode or at upload,
+//     on any request, fails the run.
 //
 // Usage: bench_data_plane [--requests=32] [--devices=1] [--trials=3]
 //                         [--check] [--out=BENCH_data_plane.json]
 //
 // The trace uses distinct == requests (cache hits only where the trace
-// generator's combo hash collides; both legs see the identical pattern)
-// and no tight deadlines (nothing sheds). Counters are taken from the
-// first trial of each leg — they are deterministic under serial
-// submission — and the best wall time across trials is kept.
+// generator's combo hash collides) and no tight deadlines (nothing sheds).
+// Counters are taken from the first trial — they are deterministic under
+// serial submission — and the best wall time across trials is kept.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "net/net.hpp"
-#include "serve/serve.hpp"
-#include "zc/zc.hpp"
+#include "harness.hpp"
 
 namespace {
 
+namespace bench = cuzc::bench;
 namespace serve = cuzc::serve;
 namespace net = cuzc::net;
 namespace zc = cuzc::zc;
-
-double now_seconds() {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
-struct LegResult {
-    zc::DataPlaneStats stats;                        // first trial's counters
-    double seconds = 0;                              // best across trials
-    std::vector<std::vector<std::uint8_t>> reports;  // first trial's encoded reports
-    bool telemetry_ok = true;
-};
 
 }  // namespace
 
@@ -68,163 +47,95 @@ int main(int argc, char** argv) {
     std::size_t trials = 3;
     bool check = false;
     std::string out_path = "BENCH_data_plane.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-            requests = static_cast<std::size_t>(std::atoll(argv[i] + 11));
-        } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-            devices = static_cast<std::size_t>(std::atoll(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-            trials = static_cast<std::size_t>(std::atoll(argv[i] + 9));
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            out_path = argv[i] + 6;
-        } else {
-            std::fprintf(stderr, "bench_data_plane: unknown argument '%s'\n", argv[i]);
-            return 2;
-        }
-    }
-    if (requests == 0 || devices == 0 || trials == 0) {
-        std::fprintf(stderr, "bench_data_plane: --requests, --devices, --trials must be >= 1\n");
-        return 2;
-    }
+    bench::Flags("bench_data_plane")
+        .num("--requests", requests, std::size_t{1})
+        .num("--devices", devices, std::size_t{1})
+        .num("--trials", trials, std::size_t{1})
+        .flag("--check", check)
+        .text("--out", out_path)
+        .parse_or_exit(argc, argv);
 
     serve::TraceGenConfig gen;
     gen.requests = requests;
     gen.distinct = requests;          // cache hits only on combo-hash collisions
     gen.tight_deadline_fraction = 0;  // nothing sheds
-    const auto trace = serve::generate_trace(gen);
-
     std::vector<serve::AssessRequest> reqs;
-    reqs.reserve(trace.size());
     std::uint64_t payload_bytes = 0;  // orig + dec, summed over the trace
-    for (const auto& e : trace) {
+    for (const auto& e : serve::generate_trace(gen)) {
         reqs.push_back(serve::to_request(e));
         payload_bytes += 2ull * reqs.back().orig.size() * sizeof(float);
     }
+    const std::size_t n = reqs.size();
 
-    serve::ServiceConfig scfg;
-    scfg.devices = devices;
+    net::NetServerConfig ncfg;
+    ncfg.service.devices = devices;
 
-    // One leg: fresh server, serial assess calls, counters bracketed by a
-    // stats reset so only this leg's traffic lands in the ledger.
-    auto run_leg = [&](bool force_copy) -> LegResult {
-        LegResult leg;
-        for (std::size_t trial = 0; trial < trials; ++trial) {
-            zc::set_data_plane_force_copy(force_copy);
-            zc::reset_data_plane_stats();
+    std::vector<serve::AssessResponse> direct;
+    {
+        serve::AssessService service(ncfg.service);
+        direct = bench::replay(service, reqs).responses;
+    }
 
-            net::NetServerConfig ncfg;
-            ncfg.service = scfg;
-            net::NetServer server(ncfg);
-            server.start();
-
-            net::NetClientConfig ccfg;
-            ccfg.port = server.port();
-            net::NetClient client(ccfg);
-
-            std::vector<std::vector<std::uint8_t>> reports;
-            reports.reserve(reqs.size());
-            const double t0 = now_seconds();
-            for (const auto& req : reqs) {
-                const serve::AssessResponse resp = client.assess(req);
-                reports.push_back(net::encode_report(resp.result.report));
-            }
-            const double dt = now_seconds() - t0;
-            client.close();
-            server.shutdown();
-
-            const zc::DataPlaneStats stats = zc::data_plane_stats();
-            const serve::NetTelemetry tele = server.telemetry();
-            if (tele.requests_accepted != reqs.size() ||
-                tele.requests_completed != reqs.size()) {
-                std::fprintf(stderr,
-                             "bench_data_plane: wire telemetry does not reconcile "
-                             "(accepted %llu, completed %llu, expected %zu)\n",
-                             static_cast<unsigned long long>(tele.requests_accepted),
-                             static_cast<unsigned long long>(tele.requests_completed),
-                             reqs.size());
-                leg.telemetry_ok = false;
-            }
-            if (trial == 0) {
-                leg.stats = stats;
-                leg.reports = std::move(reports);
-                leg.seconds = dt;
-            } else {
-                leg.seconds = std::min(leg.seconds, dt);
-            }
-        }
-        zc::set_data_plane_force_copy(false);
-        return leg;
-    };
-
-    const LegResult legacy = run_leg(true);
-    const LegResult zero = run_leg(false);
-    if (!legacy.telemetry_ok || !zero.telemetry_ok) return 1;
-
-    std::size_t identical = 0;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (zero.reports[i] == legacy.reports[i]) {
-            ++identical;
+    // Fresh server per trial; the counters are reset first so only this
+    // trial's traffic lands in the ledger.
+    zc::DataPlaneStats stats;
+    serve::ServiceTelemetry service_tele;
+    std::size_t identical = 0, reconciled = 0;
+    double seconds = 0;
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+        zc::reset_data_plane_stats();
+        bench::Loopback lb(ncfg);
+        const bench::Replay run = bench::replay(lb.client(), reqs, 1);
+        const serve::NetTelemetry tele = lb.close();
+        if (tele.requests_accepted == n && tele.requests_completed == n) {
+            ++reconciled;
         } else {
-            std::fprintf(stderr, "bench_data_plane: request %zu diverged between modes\n", i);
+            std::fprintf(stderr,
+                         "bench_data_plane: wire telemetry does not reconcile "
+                         "(accepted %llu, completed %llu, expected %zu)\n",
+                         static_cast<unsigned long long>(tele.requests_accepted),
+                         static_cast<unsigned long long>(tele.requests_completed), n);
         }
+        if (trial == 0) {
+            stats = zc::data_plane_stats();
+            service_tele = lb.server().service_telemetry();
+            for (std::size_t i = 0; i < n; ++i) {
+                if (bench::reports_identical(run.responses[i].result.report,
+                                             direct[i].result.report)) {
+                    ++identical;
+                } else {
+                    std::fprintf(stderr,
+                                 "bench_data_plane: request %zu diverged from in-process\n", i);
+                }
+            }
+        }
+        seconds = trial == 0 ? run.seconds : std::min(seconds, run.seconds);
     }
 
-    const double per_req = static_cast<double>(reqs.size());
-    const double legacy_per_req = static_cast<double>(legacy.stats.bytes_copied) / per_req;
-    const double zero_per_req = static_cast<double>(zero.stats.bytes_copied) / per_req;
-    const double reduction =
-        static_cast<double>(legacy.stats.bytes_copied) /
-        static_cast<double>(std::max<std::uint64_t>(zero.stats.bytes_copied, 1));
-
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"cuzc-data-plane-v1\",\n"
-       << "  \"requests\": " << reqs.size() << ",\n"
-       << "  \"devices\": " << devices << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"identical\": " << identical << ",\n"
-       << "  \"payload_bytes\": " << payload_bytes << ",\n"
-       << "  \"legacy\": {\n"
-       << "    \"bytes_copied\": " << legacy.stats.bytes_copied << ",\n"
-       << "    \"bytes_copied_per_request\": " << legacy_per_req << ",\n"
-       << "    \"adoptions\": " << legacy.stats.adoptions << ",\n"
-       << "    \"slab_reuses\": " << legacy.stats.slab_reuses << ",\n"
-       << "    \"seconds\": " << legacy.seconds << "\n"
-       << "  },\n"
-       << "  \"zero_copy\": {\n"
-       << "    \"bytes_copied\": " << zero.stats.bytes_copied << ",\n"
-       << "    \"bytes_copied_per_request\": " << zero_per_req << ",\n"
-       << "    \"adoptions\": " << zero.stats.adoptions << ",\n"
-       << "    \"slab_reuses\": " << zero.stats.slab_reuses << ",\n"
-       << "    \"seconds\": " << zero.seconds << "\n"
-       << "  },\n"
-       << "  \"copy_reduction\": " << reduction << "\n"
-       << "}\n";
-
-    std::fputs(os.str().c_str(), stdout);
-    if (!out_path.empty()) {
-        std::ofstream f(out_path);
-        f << os.str();
-        if (!f) {
-            std::fprintf(stderr, "bench_data_plane: cannot write '%s'\n", out_path.c_str());
-            return 1;
-        }
-    }
+    const double per_req = static_cast<double>(stats.bytes_copied) / static_cast<double>(n);
+    std::ostringstream leg;
+    leg << "{\n    \"bytes_copied\": " << stats.bytes_copied
+        << ",\n    \"bytes_copied_per_request\": " << per_req
+        << ",\n    \"adoptions\": " << stats.adoptions
+        << ",\n    \"slab_reuses\": " << stats.slab_reuses << ",\n    \"seconds\": " << seconds
+        << "\n  }";
+    bench::Record rec("bench_data_plane");
+    rec.num("requests", n)
+        .num("devices", devices)
+        .num("trials", trials)
+        .num("identical", identical)
+        .num("payload_bytes", payload_bytes)
+        .num("cache_misses", service_tele.cache_misses)
+        .raw("zero_copy", leg.str());
+    rec.check("identical_to_inprocess", identical, bench::Op::kEqual, n);
+    rec.check("trials_reconciled", reconciled, bench::Op::kEqual, trials);
+    rec.check("bytes_copied", stats.bytes_copied, bench::Op::kEqual, 0, check);
+    rec.check("adoptions", stats.adoptions, bench::Op::kEqual, 2 * service_tele.cache_misses,
+              check);
     std::fprintf(stderr,
-                 "bench_data_plane: legacy %.0fB/req copied, zero-copy %.0fB/req, "
-                 "%.1fx reduction, %zu adoptions, %zu/%zu bit-identical\n",
-                 legacy_per_req, zero_per_req, reduction,
-                 static_cast<std::size_t>(zero.stats.adoptions), identical, reqs.size());
-
-    if (identical != reqs.size()) {
-        std::fprintf(stderr, "bench_data_plane: FAIL %zu responses diverged between modes\n",
-                     reqs.size() - identical);
-        return 1;
-    }
-    if (check && reduction < 2.0) {
-        std::fprintf(stderr, "bench_data_plane: FAIL copy reduction %.2fx < 2.0x\n", reduction);
-        return 1;
-    }
-    return 0;
+                 "bench_data_plane: %.0fB/req copied, %llu adoptions for %llu cache misses, "
+                 "%zu/%zu bit-identical\n",
+                 per_req, static_cast<unsigned long long>(stats.adoptions),
+                 static_cast<unsigned long long>(service_tele.cache_misses), identical, n);
+    return rec.finish(out_path);
 }

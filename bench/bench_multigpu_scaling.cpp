@@ -28,7 +28,6 @@
 // equality, slicing, and serve gates are always enforced.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "serve/serve.hpp"
 
 namespace {
 
@@ -51,11 +49,6 @@ using namespace ::cuzc::bench;
 /// latency.
 constexpr double kNvlinkBw = 150.0e9;
 constexpr double kAllreduceLatency = 20.0e-6;
-
-double now_seconds() {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 /// Host-side collectives one assessment performs across K devices (see the
 /// header comment; mirrors the merge points in assess_multigpu).
@@ -74,16 +67,16 @@ double allreduce_hops(std::size_t k) {
 }
 
 bool close(double a, double b, double tol) {
-    if (a == b) return true;  // covers exact mode (tol == 0) and infinities
+    if (a == b) return true;  // covers infinities
     const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
     return std::fabs(a - b) <= tol * scale;
 }
 
-/// Compare two assessment reports field by field. tol == 0 demands exact
-/// (bit-identical) equality; a positive tol allows relative drift (the
-/// sharded serve path merges slab sums in a different order than a single
-/// device, so it agrees to ulps, not bits).
-bool reports_match(const zc::AssessmentReport& a, const zc::AssessmentReport& b, double tol) {
+/// Compare two assessment reports field by field within relative `tol`:
+/// the sharded serve path merges slab sums in a different order than a
+/// single device, so it agrees to ulps, not bits. Every exact comparison
+/// uses bench::reports_identical instead.
+bool reports_close(const zc::AssessmentReport& a, const zc::AssessmentReport& b, double tol) {
     const auto& ra = a.reduction;
     const auto& rb = b.reduction;
     if (!close(ra.mse, rb.mse, tol) || !close(ra.psnr_db, rb.psnr_db, tol) ||
@@ -137,12 +130,12 @@ int run_slicing_micro(const PreparedDataset& ds) {
     double z_best = 1e300, y_best = 1e300;
     zc::Field sz_out(zc::Dims3{1, 1, 1}), sy_out(zc::Dims3{1, 1, 1});
     for (int r = 0; r < kReps; ++r) {
-        double t0 = now_seconds();
+        const zc::Stopwatch z_watch;
         sz_out = czc::slice_z(ds.orig.view(), z0, z1);
-        z_best = std::min(z_best, now_seconds() - t0);
-        t0 = now_seconds();
+        z_best = std::min(z_best, z_watch.seconds());
+        const zc::Stopwatch y_watch;
         sy_out = czc::slice_y(ds.orig.view(), y0, y1);
-        y_best = std::min(y_best, now_seconds() - t0);
+        y_best = std::min(y_best, y_watch.seconds());
     }
 
     // Correctness gate: the memcpy runs must reproduce the strided walk
@@ -174,11 +167,12 @@ int run_slicing_micro(const PreparedDataset& ds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const BenchConfig cfg = BenchConfig::from_args(argc, argv);
+    BenchConfig cfg;
     bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) check = true;
-    }
+    Flags flags("bench_multigpu_scaling");
+    cfg.declare(flags);
+    flags.flag("--check", check).parse_or_exit(argc, argv);
+    Gates gates("bench_multigpu_scaling");
     const auto mcfg = paper_metrics();
     const vgpu::GpuCostModel gpu(vgpu::DeviceProps::v100(), vgpu::GpuCostParams{});
     const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
@@ -193,6 +187,7 @@ int main(int argc, char** argv) {
 
     const auto datasets = prepare_datasets(cfg);
     double par4_best_speedup = 0;
+    std::size_t runs = 0, identical_runs = 0;
     for (const auto& ds : datasets) {
         std::printf("--- %s (%zux%zux%zu) ---\n", ds.name.c_str(), ds.full_dims.h,
                     ds.full_dims.w, ds.full_dims.l);
@@ -210,47 +205,39 @@ int main(int argc, char** argv) {
             // occupy exactly one lane in both modes — the parallel column
             // then measures the cross-device overlap, nothing else.
             vgpu::BlockScheduler::instance().set_num_threads(1);
-            double t0 = now_seconds();
+            const zc::Stopwatch seq_watch;
             const auto mg = czc::assess_multigpu(seq_devices, ds.orig.view(), ds.dec.view(),
                                                  mcfg, czc::MultiGpuOptions{.parallel = false});
-            const double seq_wall = now_seconds() - t0;
-            t0 = now_seconds();
+            const double seq_wall = seq_watch.seconds();
+            const zc::Stopwatch par_watch;
             const auto mg_par = czc::assess_multigpu(par_devices, ds.orig.view(), ds.dec.view(),
                                                      mcfg, czc::MultiGpuOptions{.parallel = true});
-            const double par_wall = now_seconds() - t0;
+            const double par_wall = par_watch.seconds();
             vgpu::BlockScheduler::instance().set_num_threads(0);  // restore default
 
             // Equality gate: the threaded pipeline must be bit-identical to
             // the sequential one — same slabs, same device-order merges.
-            if (!reports_match(mg.report, mg_par.report, 0.0) ||
-                mg.exchange_bytes != mg_par.exchange_bytes) {
+            ++runs;
+            if (reports_identical(mg.report, mg_par.report) &&
+                mg.exchange_bytes == mg_par.exchange_bytes) {
+                ++identical_runs;
+            } else {
                 std::fprintf(stderr,
                              "bench_multigpu_scaling: parallel result diverges from "
                              "sequential at K=%zu on %s\n",
                              k, ds.name.c_str());
-                return 1;
             }
-
             // Devices run concurrently: modeled wall time = slowest device.
             // Scale each device's counters to full dims by volume ratio
             // (slab geometry is preserved under the dataset scaling).
             double slowest = 0;
             for (std::size_t d = 0; d < k; ++d) {
                 vgpu::KernelStats s = mg.per_device[d];
-                s.global_bytes_read = static_cast<std::uint64_t>(
-                    static_cast<double>(s.global_bytes_read) * vol_ratio);
-                s.global_bytes_written = static_cast<std::uint64_t>(
-                    static_cast<double>(s.global_bytes_written) * vol_ratio);
-                s.shared_bytes_read = static_cast<std::uint64_t>(
-                    static_cast<double>(s.shared_bytes_read) * vol_ratio);
-                s.shared_bytes_written = static_cast<std::uint64_t>(
-                    static_cast<double>(s.shared_bytes_written) * vol_ratio);
-                s.lane_ops = static_cast<std::uint64_t>(
-                    static_cast<double>(s.lane_ops) * vol_ratio);
-                s.shuffle_ops = static_cast<std::uint64_t>(
-                    static_cast<double>(s.shuffle_ops) * vol_ratio);
-                s.blocks = static_cast<std::uint64_t>(
-                    static_cast<double>(s.blocks) * vol_ratio);
+                for (std::uint64_t* v : {&s.global_bytes_read, &s.global_bytes_written,
+                                         &s.shared_bytes_read, &s.shared_bytes_written,
+                                         &s.lane_ops, &s.shuffle_ops, &s.blocks}) {
+                    *v = static_cast<std::uint64_t>(static_cast<double>(*v) * vol_ratio);
+                }
                 slowest = std::max(slowest, gpu.kernel_time(s).total_s);
             }
             const double comm =
@@ -268,8 +255,11 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
+    gates.check("parallel_identical_to_sequential", identical_runs, Op::kEqual, runs);
+
     std::printf("=== Slab slicing micro-benchmark ===\n");
-    if (!datasets.empty() && run_slicing_micro(datasets.front()) != 0) return 1;
+    gates.check("slices_match_strided_reference",
+                datasets.empty() ? 0 : run_slicing_micro(datasets.front()), Op::kEqual, 0);
 
     // --- Sharded serve comparison -------------------------------------
     // The same replay (each dataset once, no deadline) against a one-device
@@ -287,11 +277,13 @@ int main(int argc, char** argv) {
     double single_s = 0, sharded_s = 0;
     std::uint64_t sharded_devices_seen = 0;
     for (const bool sharded : {false, true}) {
+        const char* mode = sharded ? "sharded" : "single_device";
         serve::ServiceConfig scfg;
         scfg.devices = sharded ? 4 : 1;
         scfg.shard_threshold_s = sharded ? 1e-12 : 0.0;
         serve::AssessService service(scfg);
-        const double t0 = now_seconds();
+        std::size_t failed = 0, matched = 0, fanned_out = 0;
+        const zc::Stopwatch watch;
         for (std::size_t i = 0; i < datasets.size(); ++i) {
             serve::AssessRequest req;
             req.orig = datasets[i].orig;
@@ -301,42 +293,46 @@ int main(int argc, char** argv) {
             if (resp.rejected || resp.degraded) {
                 std::fprintf(stderr, "bench_multigpu_scaling: serve request %zu %s: %s\n", i,
                              resp.rejected ? "rejected" : "degraded", resp.error.c_str());
-                return 1;
+                ++failed;
             }
-            // Equality gate: 1e-9 relative — the sharded path merges slab
-            // sums in device order, which differs from the single-device
-            // summation order by ulps.
-            if (!reports_match(resp.result.report, direct[i], sharded ? 1e-9 : 0.0)) {
+            // Equality gate: bit-identical on one device; 1e-9 relative when
+            // sharded — the sharded path merges slab sums in device order,
+            // which differs from the single-device summation order by ulps.
+            if (sharded ? reports_close(resp.result.report, direct[i], 1e-9)
+                        : reports_identical(resp.result.report, direct[i])) {
+                ++matched;
+            } else {
                 std::fprintf(stderr,
                              "bench_multigpu_scaling: %s serve response %zu diverges "
                              "from direct assess\n",
-                             sharded ? "sharded" : "single-device", i);
-                return 1;
+                             mode, i);
             }
-            if (sharded && resp.shards < 2) {
-                std::fprintf(stderr,
-                             "bench_multigpu_scaling: request %zu did not shard "
-                             "(shards=%u) despite idle peers\n",
-                             i, resp.shards);
-                return 1;
+            if (sharded) {
+                sharded_devices_seen += resp.shards;
+                if (resp.shards >= 2) {
+                    ++fanned_out;
+                } else {
+                    std::fprintf(stderr,
+                                 "bench_multigpu_scaling: request %zu did not shard "
+                                 "(shards=%u) despite idle peers\n",
+                                 i, resp.shards);
+                }
             }
-            if (sharded) sharded_devices_seen += resp.shards;
         }
-        const double elapsed = now_seconds() - t0;
+        const double elapsed = watch.seconds();
         (sharded ? sharded_s : single_s) = elapsed;
 
         const serve::ServiceTelemetry tele = service.telemetry();
         // Reconciliation gate: every future resolved, so the counters must
         // balance exactly, and the shard counters must agree with the
         // per-response view.
-        if (tele.queued != tele.served + tele.rejected + tele.queue_depth + tele.inflight ||
-            tele.served != tele.cache_hits + tele.cache_misses ||
-            tele.latency.count != tele.served + tele.rejected ||
-            tele.shards != (sharded ? sharded_devices_seen : 0)) {
-            std::fprintf(stderr, "bench_multigpu_scaling: %s serve telemetry does not reconcile\n",
-                         sharded ? "sharded" : "single-device");
-            return 1;
-        }
+        const bool reconciles =
+            ledger_reconciles(tele) && tele.shards == (sharded ? sharded_devices_seen : 0);
+        const std::string gate = std::string("serve_") + mode;
+        gates.check(gate + "_rejected_or_degraded", failed, Op::kEqual, 0);
+        gates.check(gate + "_matches_direct", matched, Op::kEqual, datasets.size());
+        if (sharded) gates.check(gate + "_fanned_out", fanned_out, Op::kEqual, datasets.size());
+        gates.check(gate + "_telemetry_reconciles", reconciles, Op::kEqual, 1);
         std::printf("%-13s %10s  (served=%llu shards=%llu exchange=%llu B retries=%llu)\n",
                     sharded ? "4dev sharded" : "1dev single", fmt_time(elapsed).c_str(),
                     static_cast<unsigned long long>(tele.served),
@@ -351,27 +347,14 @@ int main(int argc, char** argv) {
                 "paper's single-GPU optimizations (fusion, FIFO reuse) carry over to every\n"
                 "slab unchanged.\n");
 
+    // Speedup gate, scaled to the host: the emulator's devices are CPU
+    // threads, so K-device overlap cannot beat the core count.
+    const double need = hc >= 4 ? 2.0 : hc >= 2 ? 1.3 : 0.0;
     if (check) {
-        // Speedup gate, scaled to the host: the emulator's devices are CPU
-        // threads, so K-device overlap cannot beat the core count.
-        double need = 0;
-        if (hc >= 4) {
-            need = 2.0;
-        } else if (hc >= 2) {
-            need = 1.3;
-        }
-        if (need == 0) {
-            std::printf("--check: single hardware thread, parallel speedup gate skipped\n");
-        } else if (par4_best_speedup < need) {
-            std::fprintf(stderr,
-                         "bench_multigpu_scaling: --check failed: best K=4 parallel speedup "
-                         "%.2fx < required %.2fx (%u hardware threads)\n",
-                         par4_best_speedup, need, hc);
-            return 1;
-        } else {
-            std::printf("--check: K=4 parallel speedup %.2fx >= %.2fx gate (ok)\n",
-                        par4_best_speedup, need);
-        }
+        std::printf("--check: K=4 parallel speedup %.2fx, gate %.2fx%s\n", par4_best_speedup,
+                    need, need == 0 ? " (single hardware thread: skipped)" : "");
     }
-    return 0;
+    gates.check("k4_parallel_speedup", par4_best_speedup, Op::kAtLeast, need,
+                check && need > 0);
+    return gates.status();
 }

@@ -28,30 +28,18 @@
 // 0.8x of in-process — the acceptance floor for the socket front-end.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "net/net.hpp"
-#include "serve/serve.hpp"
-#include "zc/zc.hpp"
+#include "harness.hpp"
 
 namespace {
 
+namespace bench = cuzc::bench;
 namespace serve = cuzc::serve;
 namespace net = cuzc::net;
-namespace zc = cuzc::zc;
-
-double now_seconds() {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 }  // namespace
 
@@ -61,96 +49,60 @@ int main(int argc, char** argv) {
     std::size_t trials = 5;
     bool check = false;
     std::string out_path = "BENCH_net_throughput.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-            gen.requests = static_cast<std::size_t>(std::atoll(argv[i] + 11));
-        } else if (std::strncmp(argv[i], "--distinct=", 11) == 0) {
-            gen.distinct = static_cast<std::size_t>(std::atoll(argv[i] + 11));
-        } else if (std::strncmp(argv[i], "--tight=", 8) == 0) {
-            gen.tight_deadline_fraction = std::atof(argv[i] + 8);
-        } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-            devices = static_cast<std::size_t>(std::atoll(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-            trials = static_cast<std::size_t>(std::atoll(argv[i] + 9));
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            out_path = argv[i] + 6;
-        } else {
-            std::fprintf(stderr, "bench_net_throughput: unknown argument '%s'\n", argv[i]);
-            return 2;
-        }
-    }
-    if (gen.requests == 0 || devices == 0 || trials == 0) {
-        std::fprintf(stderr,
-                     "bench_net_throughput: --requests, --devices, --trials must be >= 1\n");
-        return 2;
-    }
-
-    const auto trace = serve::generate_trace(gen);
+    bench::Flags("bench_net_throughput")
+        .num("--requests", gen.requests, std::size_t{1})
+        .num("--distinct", gen.distinct, std::size_t{1})
+        .num("--tight", gen.tight_deadline_fraction, 0.0)
+        .num("--devices", devices, std::size_t{1})
+        .num("--trials", trials, std::size_t{1})
+        .flag("--check", check)
+        .text("--out", out_path)
+        .parse_or_exit(argc, argv);
 
     // Materialize every request up front; neither run pays field synthesis.
     std::vector<serve::AssessRequest> requests;
-    requests.reserve(trace.size());
-    for (const auto& e : trace) requests.push_back(serve::to_request(e));
+    for (const auto& e : serve::generate_trace(gen)) requests.push_back(serve::to_request(e));
+    const std::size_t n = requests.size();
 
     serve::ServiceConfig scfg;
     scfg.devices = devices;
+    net::NetServerConfig ncfg;
+    ncfg.service = scfg;
+    // The in-process ceiling queues the whole trace at once; give the
+    // server an in-flight window sized for the same admission so the
+    // comparison measures wire cost, not window stalls.
+    ncfg.max_inflight_per_connection = std::max(ncfg.max_inflight_per_connection, n);
 
-    // In-process ceiling: straight through the service, all queued at once.
-    // Fresh service per trial (identical cache state); the first trial
-    // records the reference report bytes.
-    std::vector<std::vector<std::uint8_t>> direct_reports;
-    direct_reports.reserve(trace.size());
-    double inproc_seconds = 0;
-    auto run_inproc = [&](std::size_t trial) {
-        serve::AssessService service(scfg);
-        std::vector<std::future<serve::AssessResponse>> futures;
-        futures.reserve(trace.size());
-        const double t0 = now_seconds();
-        for (const auto& req : requests) futures.push_back(service.submit(req));
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            std::vector<std::uint8_t> bytes = net::encode_report(futures[i].get().result.report);
-            if (trial == 0) direct_reports.push_back(std::move(bytes));
-        }
-        const double dt = now_seconds() - t0;
-        if (trial == 0 || dt < inproc_seconds) inproc_seconds = dt;
-    };
-
-    // Loopback run: same trace over the wire, pipelined to the server's
-    // advertised window. Every trial is fully checked; the best time wins.
-    std::size_t identical = 0, divergent = 0;
-    double net_seconds = 0;
+    // Each trial runs a fresh service and a fresh server (identical cache
+    // state) and keeps the best time per side. The sides interleave so
+    // machine-load drift biases both measurements equally instead of
+    // whichever side happens to go last. The first in-process trial
+    // records the reference reports; every loopback trial is checked
+    // against them in full.
+    std::vector<serve::AssessResponse> direct;
+    double inproc_seconds = 0, net_seconds = 0;
+    std::size_t identical = 0, divergent = 0, reconciled = 0;
     std::uint64_t bytes_tx = 0, bytes_rx = 0;
     serve::NetTelemetry tele;
-    // Returns false when the trial's gates failed.
-    auto run_net = [&](std::size_t trial) -> bool {
-        net::NetServerConfig ncfg;
-        ncfg.service = scfg;
-        // The in-process ceiling queues the whole trace at once; give the
-        // server an in-flight window sized for the same admission so the
-        // comparison measures wire cost, not window stalls.
-        ncfg.max_inflight_per_connection =
-            std::max<std::size_t>(ncfg.max_inflight_per_connection, trace.size());
-        net::NetServer server(ncfg);
-        server.start();
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+        {
+            serve::AssessService service(scfg);
+            bench::Replay run = bench::replay(service, requests);
+            if (trial == 0) direct = std::move(run.responses);
+            if (trial == 0 || run.seconds < inproc_seconds) inproc_seconds = run.seconds;
+        }
+
+        bench::Loopback lb(ncfg);
+        const bench::Replay run =
+            bench::replay(lb.client(), requests, lb.client().server_max_inflight());
+        const std::uint64_t trial_tx = lb.client().bytes_tx();
+        const std::uint64_t trial_rx = lb.client().bytes_rx();
+        const serve::NetTelemetry trial_tele = lb.close();
 
         identical = 0;
-        net::NetClientConfig ccfg;
-        ccfg.port = server.port();
-        net::NetClient client(ccfg);
-        const std::size_t window = std::max<std::size_t>(1, client.server_max_inflight());
-
-        std::vector<std::uint64_t> ids;
-        ids.reserve(trace.size());
-        const double t0 = now_seconds();
-        for (const auto& req : requests) {
-            while (client.outstanding() >= window) client.pump(0.05);
-            ids.push_back(client.submit(req));
-        }
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            const serve::AssessResponse resp = client.wait(ids[i]);
-            if (net::encode_report(resp.result.report) == direct_reports[i]) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (bench::reports_identical(run.responses[i].result.report,
+                                         direct[i].result.report)) {
                 ++identical;
             } else {
                 ++divergent;
@@ -158,82 +110,47 @@ int main(int argc, char** argv) {
                              i);
             }
         }
-        const double dt = now_seconds() - t0;
-        const std::uint64_t trial_tx = client.bytes_tx();
-        const std::uint64_t trial_rx = client.bytes_rx();
-        client.close();
-        server.shutdown();
-
-        const serve::NetTelemetry trial_tele = server.telemetry();
-        if (trial_tele.requests_accepted != trial_tele.requests_completed +
-                                                trial_tele.requests_failed +
-                                                trial_tele.requests_in_flight ||
-            trial_tele.requests_accepted != trace.size() ||
-            trial_tele.connections_accepted !=
+        if (bench::ledger_reconciles(trial_tele) && trial_tele.requests_accepted == n &&
+            trial_tele.connections_accepted ==
                 trial_tele.connections_active + trial_tele.connections_closed) {
+            ++reconciled;
+        } else {
             std::fprintf(stderr, "bench_net_throughput: wire telemetry does not reconcile\n");
-            return false;
         }
-        if (trial == 0 || dt < net_seconds) {
-            net_seconds = dt;
+        if (trial == 0 || run.seconds < net_seconds) {
+            net_seconds = run.seconds;
             bytes_tx = trial_tx;
             bytes_rx = trial_rx;
             tele = trial_tele;
         }
-        return true;
-    };
-
-    // Interleave the sides so machine-load drift during the run biases the
-    // two measurements equally instead of whichever side happens to go last.
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-        run_inproc(trial);
-        if (!run_net(trial)) return 1;
-    }
-    if (divergent != 0) {
-        std::fprintf(stderr, "bench_net_throughput: %zu responses diverged\n", divergent);
-        return 1;
     }
 
-    const double inproc_rps = inproc_seconds > 0 ? trace.size() / inproc_seconds : 0;
-    const double net_rps = net_seconds > 0 ? trace.size() / net_seconds : 0;
+    const double inproc_rps = inproc_seconds > 0 ? static_cast<double>(n) / inproc_seconds : 0;
+    const double net_rps = net_seconds > 0 ? static_cast<double>(n) / net_seconds : 0;
     const double relative = inproc_rps > 0 ? net_rps / inproc_rps : 0;
+    std::ostringstream tele_json;
+    tele.write_json(tele_json, 2);
 
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"cuzc-net-throughput-v1\",\n"
-       << "  \"requests\": " << trace.size() << ",\n"
-       << "  \"distinct\": " << gen.distinct << ",\n"
-       << "  \"devices\": " << devices << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"identical\": " << identical << ",\n"
-       << "  \"inproc_seconds\": " << inproc_seconds << ",\n"
-       << "  \"net_seconds\": " << net_seconds << ",\n"
-       << "  \"inproc_rps\": " << inproc_rps << ",\n"
-       << "  \"net_rps\": " << net_rps << ",\n"
-       << "  \"relative_throughput\": " << relative << ",\n"
-       << "  \"wire_bytes_tx\": " << bytes_tx << ",\n"
-       << "  \"wire_bytes_rx\": " << bytes_rx << ",\n"
-       << "  \"telemetry\": ";
-    tele.write_json(os, 2);
-    os << "\n}\n";
-
-    std::fputs(os.str().c_str(), stdout);
-    if (!out_path.empty()) {
-        std::ofstream f(out_path);
-        f << os.str();
-        if (!f) {
-            std::fprintf(stderr, "bench_net_throughput: cannot write '%s'\n", out_path.c_str());
-            return 1;
-        }
-    }
+    bench::Record rec("bench_net_throughput");
+    rec.num("requests", n)
+        .num("distinct", gen.distinct)
+        .num("devices", devices)
+        .num("trials", trials)
+        .num("identical", identical)
+        .num("inproc_seconds", inproc_seconds)
+        .num("net_seconds", net_seconds)
+        .num("inproc_rps", inproc_rps)
+        .num("net_rps", net_rps)
+        .num("relative_throughput", relative)
+        .num("wire_bytes_tx", bytes_tx)
+        .num("wire_bytes_rx", bytes_rx)
+        .raw("telemetry", tele_json.str());
+    rec.check("diverged_over_the_wire", divergent, bench::Op::kEqual, 0);
+    rec.check("trials_reconciled", reconciled, bench::Op::kEqual, trials);
+    rec.check("relative_throughput", relative, bench::Op::kAtLeast, 0.8, check);
     std::fprintf(stderr,
                  "bench_net_throughput: in-process %.3fs (%.0f rps), loopback %.3fs (%.0f rps), "
                  "relative %.2fx, %zu/%zu bit-identical\n",
-                 inproc_seconds, inproc_rps, net_seconds, net_rps, relative, identical,
-                 trace.size());
-    if (check && relative < 0.8) {
-        std::fprintf(stderr, "bench_net_throughput: FAIL relative throughput %.2fx < 0.8x\n",
-                     relative);
-        return 1;
-    }
-    return 0;
+                 inproc_seconds, inproc_rps, net_seconds, net_rps, relative, identical, n);
+    return rec.finish(out_path);
 }

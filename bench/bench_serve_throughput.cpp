@@ -9,15 +9,16 @@
 // measured interval is pure assessment work.
 //
 // Every non-degraded service response is cross-checked against the naive
-// result for the same trace entry (exact equality — same kernels, same
+// result for the same trace entry (every report byte — same kernels, same
 // order), so the speedup is never bought with wrong answers.
 //
 // Usage: bench_serve_throughput [--requests=200] [--distinct=32]
 //                               [--tight=0.1] [--devices=1] [--faults=SPEC]
 //                               [--out=BENCH_serve_throughput.json]
 //
-// Emits JSON (stdout, and --out=PATH) with naive_seconds, serve_seconds,
-// speedup, and the full service telemetry block.
+// Writes a cuzc-bench-v1 record (stdout, and --out=PATH) with
+// naive_seconds, serve_seconds, speedup, and the full service telemetry
+// block.
 //
 // Fault mode (--faults=SPEC, or the CUZC_FAULTS environment variable):
 // the service run injects deterministic device faults. Rejections are then
@@ -27,31 +28,19 @@
 // every fault-free response must still match the naive run bit for bit.
 // The telemetry reconciliation gate below holds in both modes.
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "serve/serve.hpp"
-#include "vgpu/vgpu.hpp"
-#include "zc/zc.hpp"
+#include "harness.hpp"
 
 namespace {
 
+namespace bench = cuzc::bench;
 namespace serve = cuzc::serve;
 namespace zc = cuzc::zc;
 namespace vgpu = cuzc::vgpu;
-
-double now_seconds() {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 }  // namespace
 
@@ -60,54 +49,31 @@ int main(int argc, char** argv) {
     std::size_t devices = 1;
     std::string out_path = "BENCH_serve_throughput.json";
     std::string faults_spec;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-            gen.requests = static_cast<std::size_t>(std::atoll(argv[i] + 11));
-        } else if (std::strncmp(argv[i], "--distinct=", 11) == 0) {
-            gen.distinct = static_cast<std::size_t>(std::atoll(argv[i] + 11));
-        } else if (std::strncmp(argv[i], "--tight=", 8) == 0) {
-            gen.tight_deadline_fraction = std::atof(argv[i] + 8);
-        } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-            devices = static_cast<std::size_t>(std::atoll(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            out_path = argv[i] + 6;
-        } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
-            faults_spec = argv[i] + 9;
-        } else {
-            std::fprintf(stderr, "bench_serve_throughput: unknown argument '%s'\n", argv[i]);
-            return 2;
-        }
-    }
-    if (gen.requests == 0 || devices == 0) {
-        std::fprintf(stderr, "bench_serve_throughput: --requests and --devices must be >= 1\n");
-        return 2;
-    }
-
-    const auto trace = serve::generate_trace(gen);
+    bench::Flags("bench_serve_throughput")
+        .num("--requests", gen.requests, std::size_t{1})
+        .num("--distinct", gen.distinct, std::size_t{1})
+        .num("--tight", gen.tight_deadline_fraction, 0.0)
+        .num("--devices", devices, std::size_t{1})
+        .text("--out", out_path)
+        .text("--faults", faults_spec)
+        .parse_or_exit(argc, argv);
 
     // Materialize everything up front; neither run pays for field synthesis.
-    std::vector<zc::Field> origs, decs;
-    origs.reserve(trace.size());
-    decs.reserve(trace.size());
-    for (const auto& e : trace) {
-        auto [orig, dec] = serve::materialize(e);
-        origs.push_back(std::move(orig));
-        decs.push_back(std::move(dec));
-    }
+    std::vector<serve::AssessRequest> reqs;
+    for (const auto& e : serve::generate_trace(gen)) reqs.push_back(serve::to_request(e));
 
     // Naive baseline: one assess per request, no reuse of any kind.
     std::vector<zc::AssessmentReport> naive_reports;
-    naive_reports.reserve(trace.size());
-    const double naive_t0 = now_seconds();
+    naive_reports.reserve(reqs.size());
+    const zc::Stopwatch naive_watch;
     {
         vgpu::Device dev;
-        for (std::size_t i = 0; i < trace.size(); ++i) {
+        for (const auto& req : reqs) {
             naive_reports.push_back(
-                ::cuzc::cuzc::assess(dev, origs[i].view(), decs[i].view(), trace[i].metrics())
-                    .report);
+                ::cuzc::cuzc::assess(dev, req.orig.view(), req.dec.view(), req.cfg).report);
         }
     }
-    const double naive_seconds = now_seconds() - naive_t0;
+    const double naive_seconds = naive_watch.seconds();
 
     // Service run: batching + caching on, same trace.
     serve::ServiceConfig scfg;
@@ -121,96 +87,58 @@ int main(int argc, char** argv) {
     }
     const bool fault_mode = scfg.faults.enabled();
     serve::AssessService service(scfg);
-    std::vector<std::future<serve::AssessResponse>> futures;
-    futures.reserve(trace.size());
-    const double serve_t0 = now_seconds();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        serve::AssessRequest req;
-        req.orig = origs[i];
-        req.dec = decs[i];
-        req.cfg = trace[i].metrics();
-        req.deadline_model_s = trace[i].deadline_us * 1e-6;
-        req.priority = trace[i].priority;
-        futures.push_back(service.submit(std::move(req)));
-    }
-    std::vector<serve::AssessResponse> responses;
-    responses.reserve(trace.size());
-    for (auto& f : futures) responses.push_back(f.get());
-    const double serve_seconds = now_seconds() - serve_t0;
+    const bench::Replay run = bench::replay(service, reqs);
 
     // Correctness gate: non-degraded, fault-free responses must match the
     // naive run exactly. Under injection, rejections are tolerated and a
     // response that observed a fault is exempt (a corrupted upload is meant
     // to perturb that result) — everything else still has to be identical.
-    std::size_t checked = 0, degraded = 0, rejected = 0, faulted = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const auto& resp = responses[i];
+    std::size_t checked = 0, diverged = 0, degraded = 0, rejected = 0, faulted = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const auto& resp = run.responses[i];
         if (resp.rejected) {
+            ++rejected;
             if (!fault_mode) {
                 std::fprintf(stderr, "bench_serve_throughput: request %zu rejected: %s\n", i,
                              resp.error.c_str());
-                return 1;
             }
-            ++rejected;
-            continue;
-        }
-        if (resp.degraded) {
+        } else if (resp.degraded) {
             ++degraded;
-            continue;
-        }
-        if (resp.faults > 0) {
+        } else if (resp.faults > 0) {
             ++faulted;
-            continue;
-        }
-        const auto& got = resp.result.report.reduction;
-        const auto& want = naive_reports[i].reduction;
-        if (got.psnr_db != want.psnr_db || got.mse != want.mse ||
-            resp.result.report.ssim.ssim != naive_reports[i].ssim.ssim) {
+        } else if (bench::reports_identical(resp.result.report, naive_reports[i])) {
+            ++checked;
+        } else {
+            ++diverged;
             std::fprintf(stderr,
                          "bench_serve_throughput: request %zu diverged from direct assess\n", i);
-            return 1;
         }
-        ++checked;
     }
 
     const serve::ServiceTelemetry tele = service.telemetry();
+    const double speedup = run.seconds > 0 ? naive_seconds / run.seconds : 0;
+    std::ostringstream tele_json;
+    tele.write_json(tele_json, 2);
+
+    bench::Record rec("bench_serve_throughput");
+    rec.num("requests", reqs.size())
+        .num("distinct", gen.distinct)
+        .num("devices", devices)
+        .num("tight_deadline_fraction", gen.tight_deadline_fraction)
+        .num("checked_against_direct", checked)
+        .num("degraded", degraded)
+        .num("rejected", rejected)
+        .num("faulted", faulted)
+        .num("naive_seconds", naive_seconds)
+        .num("serve_seconds", run.seconds)
+        .num("speedup", speedup)
+        .raw("telemetry", tele_json.str());
+    rec.check("diverged_from_direct", diverged, bench::Op::kEqual, 0);
+    rec.check("rejected", rejected, bench::Op::kEqual, 0, !fault_mode);
     // Reconciliation gate: after every future resolved, the counters must
-    // balance exactly — fault mode included (see ServiceTelemetry docs).
-    if (tele.queued != tele.served + tele.rejected + tele.queue_depth + tele.inflight ||
-        tele.served != tele.cache_hits + tele.cache_misses ||
-        tele.latency.count != tele.served + tele.rejected) {
-        std::fprintf(stderr, "bench_serve_throughput: telemetry does not reconcile\n");
-        return 1;
-    }
-    const double speedup = serve_seconds > 0 ? naive_seconds / serve_seconds : 0;
-
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"cuzc-serve-throughput-v1\",\n"
-       << "  \"requests\": " << trace.size() << ",\n"
-       << "  \"distinct\": " << gen.distinct << ",\n"
-       << "  \"devices\": " << devices << ",\n"
-       << "  \"tight_deadline_fraction\": " << gen.tight_deadline_fraction << ",\n"
-       << "  \"checked_against_direct\": " << checked << ",\n"
-       << "  \"degraded\": " << degraded << ",\n"
-       << "  \"rejected\": " << rejected << ",\n"
-       << "  \"faulted\": " << faulted << ",\n"
-       << "  \"naive_seconds\": " << naive_seconds << ",\n"
-       << "  \"serve_seconds\": " << serve_seconds << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"telemetry\": ";
-    tele.write_json(os, 2);
-    os << "\n}\n";
-
-    std::fputs(os.str().c_str(), stdout);
-    if (!out_path.empty()) {
-        std::ofstream f(out_path);
-        f << os.str();
-        if (!f) {
-            std::fprintf(stderr, "bench_serve_throughput: cannot write '%s'\n", out_path.c_str());
-            return 1;
-        }
-    }
+    // balance exactly — fault mode included.
+    rec.check("telemetry_reconciles", bench::ledger_reconciles(tele), bench::Op::kEqual, 1);
     std::fprintf(stderr, "bench_serve_throughput: naive %.3fs, serve %.3fs, speedup %.2fx\n",
-                 naive_seconds, serve_seconds, speedup);
-    return 0;
+                 naive_seconds, run.seconds, speedup);
+    return rec.finish(out_path);
 }

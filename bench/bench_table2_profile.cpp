@@ -72,15 +72,10 @@ int main(int argc, char** argv) {
         std::printf("%-12s %8s %11s %10s %8s\n", "dataset", "Regs/TB", "SMem/TB",
                     "Iters/thr", "TB/SM");
         for (const auto& ds : datasets) {
-            zc::MetricsConfig only = mcfg;
-            only.pattern1 = pat.p == zc::Pattern::kGlobalReduction;
-            only.pattern2 = pat.p == zc::Pattern::kStencil;
-            only.pattern3 = pat.p == zc::Pattern::kSlidingWindow;
             vgpu::Device dev;
-            const auto r = czc::assess(dev, ds.orig.view(), ds.dec.view(), only);
-            vgpu::KernelStats s = pat.p == zc::Pattern::kGlobalReduction ? r.pattern1
-                                  : pat.p == zc::Pattern::kStencil       ? r.pattern2
-                                                                         : r.pattern3;
+            const auto only = zc::MetricsConfig::only(pat.p, mcfg);
+            vgpu::KernelStats s =
+                pattern_stats(czc::assess(dev, ds.orig.view(), ds.dec.view(), only), pat.p);
             // Drop the auxiliary moments kernel from the pattern-2 profile
             // row (the paper profiles the main fused kernel).
             if (pat.p == zc::Pattern::kStencil) {

@@ -5,19 +5,14 @@
 // emulator chews through kernels — the number that decides whether future
 // PRs can afford to run scale=2/scale=1 fields for real.
 //
-// Emits JSON on stdout (and to a file via --out=PATH) including every
+// Writes a cuzc-bench-v1 record (stdout, and --out=PATH) including every
 // profiler counter, so two builds can be diffed both for speed and for
-// bit-exact count preservation.
+// bit-exact count preservation (`tools/bench_records.py check`).
 //
 // Usage: bench_vgpu_wallclock [--scales=8,4] [--repeats=3] [--out=PATH]
 // Thread count of the block scheduler comes from CUZC_VGPU_THREADS.
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +22,7 @@
 namespace {
 
 using cuzc::bench::BenchConfig;
-using cuzc::bench::PreparedDataset;
+namespace bench = cuzc::bench;
 namespace vgpu = cuzc::vgpu;
 namespace zc = cuzc::zc;
 
@@ -39,52 +34,19 @@ struct Sample {
     vgpu::KernelStats stats;
 };
 
-double now_seconds() {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
-void append_stats_json(std::ostringstream& os, const vgpu::KernelStats& s) {
-    os << "{\"blocks\":" << s.blocks << ",\"threads_per_block\":" << s.threads_per_block
-       << ",\"regs_per_thread\":" << s.regs_per_thread
-       << ",\"smem_per_block\":" << s.smem_per_block
-       << ",\"global_bytes_read\":" << s.global_bytes_read
-       << ",\"global_bytes_written\":" << s.global_bytes_written
-       << ",\"shared_bytes_read\":" << s.shared_bytes_read
-       << ",\"shared_bytes_written\":" << s.shared_bytes_written
-       << ",\"shuffle_ops\":" << s.shuffle_ops << ",\"thread_iters\":" << s.thread_iters
-       << ",\"lane_ops\":" << s.lane_ops << "}";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     std::vector<unsigned> scales{8, 4};
     int repeats = 3;
     std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--scales=", 9) == 0) {
-            scales.clear();
-            const char* p = argv[i] + 9;
-            while (*p) {
-                const int v = std::atoi(p);
-                if (v < 1) {
-                    // A typo must not silently select scale 1 (the full-size
-                    // 141M-element fields — a multi-minute run).
-                    std::fprintf(stderr, "bench_vgpu_wallclock: bad --scales value in '%s'\n",
-                                 argv[i]);
-                    return 2;
-                }
-                scales.push_back(static_cast<unsigned>(v));
-                while (*p && *p != ',') ++p;
-                if (*p == ',') ++p;
-            }
-        } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-            repeats = std::max(1, std::atoi(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            out_path = argv[i] + 6;
-        }
-    }
+    // A --scales typo must not silently select scale 1 (the full-size
+    // 141M-element fields — a multi-minute run).
+    bench::Flags("bench_vgpu_wallclock")
+        .list("--scales", scales)
+        .num("--repeats", repeats, 1)
+        .text("--out", out_path)
+        .parse_or_exit(argc, argv);
 
     const zc::MetricsConfig mcfg;
     std::vector<Sample> samples;
@@ -92,30 +54,23 @@ int main(int argc, char** argv) {
     for (const unsigned scale : scales) {
         BenchConfig bcfg;
         bcfg.scale = scale;
-        const auto datasets = cuzc::bench::prepare_datasets(bcfg);
+        const auto datasets = bench::prepare_datasets(bcfg);
         for (const auto& ds : datasets) {
             for (const zc::Pattern pattern :
                  {zc::Pattern::kGlobalReduction, zc::Pattern::kStencil,
                   zc::Pattern::kSlidingWindow}) {
-                zc::MetricsConfig only = mcfg;
-                only.pattern1 = pattern == zc::Pattern::kGlobalReduction;
-                only.pattern2 = pattern == zc::Pattern::kStencil;
-                only.pattern3 = pattern == zc::Pattern::kSlidingWindow;
-
+                const zc::MetricsConfig only = zc::MetricsConfig::only(pattern, mcfg);
                 Sample s;
                 s.dataset = ds.name;
                 s.scale = scale;
                 s.seconds = 1e300;
                 for (int r = 0; r < repeats; ++r) {
                     vgpu::Device dev;
-                    const double t0 = now_seconds();
+                    const zc::Stopwatch watch;
                     const auto res =
                         ::cuzc::cuzc::assess(dev, ds.orig.view(), ds.dec.view(), only);
-                    const double dt = now_seconds() - t0;
-                    const vgpu::KernelStats& st =
-                        pattern == zc::Pattern::kGlobalReduction ? res.pattern1
-                        : pattern == zc::Pattern::kStencil       ? res.pattern2
-                                                                 : res.pattern3;
+                    const double dt = watch.seconds();
+                    const vgpu::KernelStats& st = bench::pattern_stats(res, pattern);
                     if (dt < s.seconds) s.seconds = dt;
                     s.kernel = st.name;
                     s.stats = st;
@@ -125,37 +80,27 @@ int main(int argc, char** argv) {
         }
     }
 
-    const char* env_threads = std::getenv("CUZC_VGPU_THREADS");
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"cuzc-vgpu-wallclock-v1\",\n";
-    os << "  \"threads\": \"" << (env_threads ? env_threads : "default") << "\",\n";
-    os << "  \"results\": [\n";
+    std::ostringstream rows;
+    rows << "[\n";
     double total_blocks = 0, total_seconds = 0;
     for (std::size_t i = 0; i < samples.size(); ++i) {
         const Sample& s = samples[i];
         const auto blocks = static_cast<double>(s.stats.blocks);
         total_blocks += blocks;
         total_seconds += s.seconds;
-        os << "    {\"dataset\":\"" << s.dataset << "\",\"scale\":" << s.scale
-           << ",\"kernel\":\"" << s.kernel << "\",\"seconds\":" << s.seconds
-           << ",\"blocks_per_sec\":" << (s.seconds > 0 ? blocks / s.seconds : 0)
-           << ",\"stats\":";
-        append_stats_json(os, s.stats);
-        os << "}" << (i + 1 < samples.size() ? "," : "") << "\n";
+        rows << "    {\"dataset\":\"" << s.dataset << "\",\"scale\":" << s.scale
+             << ",\"kernel\":\"" << s.kernel << "\",\"seconds\":" << s.seconds
+             << ",\"blocks_per_sec\":" << (s.seconds > 0 ? blocks / s.seconds : 0)
+             << ",\"stats\":" << bench::stats_json(s.stats) << "}"
+             << (i + 1 < samples.size() ? "," : "") << "\n";
     }
-    os << "  ],\n";
-    os << "  \"total_seconds\": " << total_seconds << ",\n";
-    os << "  \"total_blocks_per_sec\": "
-       << (total_seconds > 0 ? total_blocks / total_seconds : 0) << "\n}\n";
+    rows << "  ]";
 
-    std::fputs(os.str().c_str(), stdout);
-    if (!out_path.empty()) {
-        std::ofstream f(out_path);
-        f << os.str();
-        if (!f) {
-            std::fprintf(stderr, "bench_vgpu_wallclock: cannot write '%s'\n", out_path.c_str());
-            return 1;
-        }
-    }
-    return 0;
+    const char* env_threads = std::getenv("CUZC_VGPU_THREADS");
+    bench::Record rec("bench_vgpu_wallclock");
+    rec.str("threads", env_threads ? env_threads : "default")
+        .raw("results", rows.str())
+        .num("total_seconds", total_seconds)
+        .num("total_blocks_per_sec", total_seconds > 0 ? total_blocks / total_seconds : 0);
+    return rec.finish(out_path);
 }

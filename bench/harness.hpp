@@ -1,15 +1,156 @@
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cuzc/cuzc.hpp"
 #include "data/datasets.hpp"
+#include "io/strict_parse.hpp"
 #include "mozc/mozc.hpp"
+#include "net/net.hpp"
+#include "serve/serve.hpp"
 #include "vgpu/vgpu.hpp"
 #include "zc/zc.hpp"
 
 namespace cuzc::bench {
+
+// --- What the CI gate benches share ---------------------------------------
+
+/// One bench's command line: each flag declared once with the variable it
+/// sets. Exactly the declared flags are accepted, and every number goes
+/// through io::parse_num, so `--requests=12x`, an empty or overflowing
+/// value and a misspelled flag are errors, never a silent 12 or a no-op.
+class Flags {
+public:
+    explicit Flags(std::string bench) : bench_(std::move(bench)) {}
+
+    Flags& flag(std::string_view name, bool& out);         ///< `--NAME`
+    Flags& text(std::string_view name, std::string& out);  ///< `--NAME=TEXT`, may be empty
+    template <class T>
+    Flags& num(std::string_view name, T& out, T min);  ///< `--NAME=N`, N >= min
+    Flags& list(std::string_view name, std::vector<unsigned>& out);  ///< `--NAME=8,4`
+    Flags& dims(std::string_view name, zc::Dims3& out);              ///< `--NAME=HxWxL`
+    /// The flag declared last also reads environment variable `var` first.
+    Flags& from_env(const char* var);
+
+    /// The first error, or "" when the environment and `argv` parsed.
+    [[nodiscard]] std::string parse(int argc, const char* const* argv) const;
+    /// `parse`, or print "<bench>: <error>" and exit with status 2.
+    void parse_or_exit(int argc, const char* const* argv) const;
+
+private:
+    struct Spec {
+        std::string name;
+        bool takes_value = true;
+        std::function<bool(std::string_view)> set;
+        const char* env = nullptr;
+    };
+    Flags& add(std::string_view name, bool takes_value, std::function<bool(std::string_view)> set);
+
+    std::string bench_;
+    std::vector<Spec> specs_;
+};
+
+template <class T>
+Flags& Flags::num(std::string_view name, T& out, T min) {
+    return add(name, true, [&out, min](std::string_view v) {
+        T parsed{};
+        if (!io::parse_num(v, parsed) || parsed < min) return false;
+        out = parsed;
+        return true;
+    });
+}
+
+enum class Op { kAtLeast, kAtMost, kEqual };
+
+/// A bench's pass/fail conditions, each kept with its measured value,
+/// threshold and outcome. A failed gate is reported on stderr when checked.
+class Gates {
+public:
+    explicit Gates(std::string bench) : bench_(std::move(bench)) {}
+
+    /// Record a gate; returns whether it holds. A gate that is not
+    /// `enforced` (a floor only --check applies) is recorded as "skip".
+    bool check(std::string_view name, double value, Op op, double threshold,
+               bool enforced = true);
+    /// The exit status: 1 when an enforced gate failed, else 0.
+    [[nodiscard]] int status() const { return failed_ ? 1 : 0; }
+
+protected:
+    std::string bench_;
+    std::string gates_json_;
+    bool failed_ = false;
+};
+
+/// The `cuzc-bench-v1` record: an envelope (schema, bench, SIMD banner,
+/// block workers, nproc, peak RSS), the bench's keys in the order set, and
+/// its gates. `results[].stats` rows share one shape across benches.
+class Record : public Gates {
+public:
+    using Gates::Gates;
+
+    Record& num(std::string_view key, double v);  ///< integral values are written exactly
+    Record& str(std::string_view key, std::string_view v);
+    Record& raw(std::string_view key, std::string json);  ///< a rendered object or array
+
+    [[nodiscard]] std::string json() const;
+    /// Print the record, write it to `out_path` unless empty, and return the
+    /// exit status (1 also when the file cannot be written).
+    [[nodiscard]] int finish(const std::string& out_path) const;
+
+private:
+    std::string keys_;
+};
+
+/// A kernel's profiler counters as one `results[].stats` object.
+[[nodiscard]] std::string stats_json(const vgpu::KernelStats& s);
+
+/// Byte equality of the reports' wire encodings (`net::encode_report`):
+/// every field, the sign of zero and NaN payloads included — the same
+/// bit-identity the wire, the bench suite and the fuzz targets use.
+[[nodiscard]] bool reports_identical(const zc::AssessmentReport& a,
+                                     const zc::AssessmentReport& b);
+
+/// The server's request ledger balances: accepted == completed + failed +
+/// in flight.
+[[nodiscard]] bool ledger_reconciles(const serve::NetTelemetry& t);
+/// The service's counters balance once every submitted request resolved
+/// (see ServiceTelemetry).
+[[nodiscard]] bool ledger_reconciles(const serve::ServiceTelemetry& t);
+
+/// A NetServer on 127.0.0.1 with one connected NetClient.
+class Loopback {
+public:
+    explicit Loopback(const net::NetServerConfig& cfg = {});
+
+    [[nodiscard]] net::NetClient& client() noexcept { return client_; }
+    [[nodiscard]] net::NetServer& server() noexcept { return server_; }
+    /// Close the client, shut the server down, return its final telemetry.
+    [[nodiscard]] serve::NetTelemetry close();
+
+private:
+    net::NetServer server_;
+    net::NetClient client_;
+};
+
+/// Responses in request order and the wall time from first submit to last
+/// response.
+struct Replay {
+    std::vector<serve::AssessResponse> responses;
+    double seconds = 0;
+};
+
+/// Submit every request to `service` at once, then collect the responses.
+[[nodiscard]] Replay replay(serve::AssessService& service,
+                            const std::vector<serve::AssessRequest>& reqs);
+/// Send `reqs` over `client` with at most `window` in flight.
+[[nodiscard]] Replay replay(net::NetClient& client, const std::vector<serve::AssessRequest>& reqs,
+                            std::size_t window);
+
+// --- The paper benches' model ---------------------------------------------
 
 /// Benchmark execution parameters.
 ///
@@ -26,7 +167,13 @@ struct BenchConfig {
     unsigned scale = 8;
     double sz_rel_bound = 1e-3;
 
-    static BenchConfig from_args(int argc, char** argv);
+    /// Declare --scale=N (default from CUZC_BENCH_SCALE) on `flags`. A
+    /// typo, an empty value, zero or a negative number is an error: scale
+    /// 1 is a multi-minute full-size run and is only taken when asked for.
+    void declare(Flags& flags);
+    /// The paper benches' command line, --scale only; exits with status 2
+    /// on a bad value or an unknown flag.
+    static BenchConfig from_args(int argc, const char* const* argv);
 };
 
 /// One dataset prepared for benchmarking: a representative field pair at
@@ -51,6 +198,14 @@ struct PreparedDataset {
                                             const zc::Dims3& to, int pattern,
                                             const zc::MetricsConfig& mcfg);
 
+/// The profile of `pattern`'s kernel in a cuZC or moZC result.
+template <class Result>
+[[nodiscard]] const vgpu::KernelStats& pattern_stats(const Result& r, zc::Pattern pattern) {
+    return pattern == zc::Pattern::kGlobalReduction ? r.pattern1
+           : pattern == zc::Pattern::kStencil       ? r.pattern2
+                                                    : r.pattern3;
+}
+
 /// Modeled times of the three frameworks for one pattern on one dataset.
 struct PatternTimes {
     double cuzc_s = 0;
@@ -63,11 +218,6 @@ struct PatternTimes {
 /// (ompZC from the analytic CPU work model at full dims, 20 threads).
 [[nodiscard]] PatternTimes pattern_times(const PreparedDataset& ds, zc::Pattern pattern,
                                          const zc::MetricsConfig& mcfg);
-
-/// Paper-reported reference ranges, for printing next to measured values.
-struct PaperRange {
-    double lo = 0, hi = 0;
-};
 
 [[nodiscard]] std::string fmt_time(double seconds);
 [[nodiscard]] std::string fmt_rate(double bytes_per_s);

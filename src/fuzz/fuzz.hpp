@@ -61,6 +61,18 @@ private:
     Oracle oracle_ = Oracle::kInvariant;
 };
 
+/// Hold a replay's verdict to the entry's oracle: an accept-* entry must not
+/// have been `rejected`, a reject-* entry must have been. Throws a
+/// FuzzFailure naming `what` (and `why` it was rejected) otherwise.
+void check_verdict(std::span<const std::uint8_t> bytes, Oracle oracle, bool rejected,
+                   std::string_view what, const std::string& why = {});
+
+/// Run `replay(bytes, oracle)`. An exception other than FuzzFailure
+/// escaping it becomes a finding that carries `bytes`; `what` names the
+/// code under test.
+void probe(const std::function<void(std::span<const std::uint8_t>, Oracle)>& replay,
+           std::span<const std::uint8_t> bytes, Oracle oracle, std::string_view what);
+
 /// Sink a target uses to emit its checked-in regression corpus (the
 /// `cuzc fuzz --write-corpus=DIR` path). Filenames get an oracle prefix:
 /// accept- / reject- / seed-.
@@ -143,5 +155,6 @@ void register_wire_targets();
 void register_session_targets();
 void register_diff_targets();
 void register_parse_targets();
+void register_sz_targets();
 
 }  // namespace cuzc::fuzz

@@ -19,10 +19,35 @@ void ensure_builtins() {
         register_session_targets();
         register_diff_targets();
         register_parse_targets();
+        register_sz_targets();
     });
 }
 
 }  // namespace
+
+void check_verdict(std::span<const std::uint8_t> bytes, Oracle oracle, bool rejected,
+                   std::string_view what, const std::string& why) {
+    if (oracle == Oracle::kAccept && rejected) {
+        throw FuzzFailure("accept " + std::string(what) + " rejected: " + why,
+                          {bytes.begin(), bytes.end()}, Oracle::kAccept);
+    }
+    if (oracle == Oracle::kReject && !rejected) {
+        throw FuzzFailure("reject " + std::string(what) + " accepted",
+                          {bytes.begin(), bytes.end()}, Oracle::kReject);
+    }
+}
+
+void probe(const std::function<void(std::span<const std::uint8_t>, Oracle)>& replay,
+           std::span<const std::uint8_t> bytes, Oracle oracle, std::string_view what) {
+    try {
+        replay(bytes, oracle);
+    } catch (const FuzzFailure&) {
+        throw;
+    } catch (const std::exception& e) {
+        throw FuzzFailure(std::string(what) + " threw: " + e.what(), {bytes.begin(), bytes.end()},
+                          Oracle::kInvariant);
+    }
+}
 
 void register_target(Target t) {
     auto& reg = registry();

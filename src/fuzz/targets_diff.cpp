@@ -298,14 +298,7 @@ void response_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
         rejected = true;
         why = e.what();
     }
-    if (oracle == Oracle::kAccept && rejected) {
-        throw FuzzFailure("accept response rejected: " + why, {bytes.begin(), bytes.end()},
-                          Oracle::kAccept);
-    }
-    if (oracle == Oracle::kReject && !rejected) {
-        throw FuzzFailure("reject response decoded cleanly", {bytes.begin(), bytes.end()},
-                          Oracle::kReject);
-    }
+    check_verdict(bytes, oracle, rejected, "response", why);
 }
 
 void report_roundtrip_iterate(std::uint64_t seed, std::uint64_t iter) {
@@ -326,14 +319,7 @@ void report_roundtrip_iterate(std::uint64_t seed, std::uint64_t iter) {
 
     std::vector<std::uint8_t> mutated = payload;
     mutate_bytes(mutated, rng, 4);
-    try {
-        response_replay(mutated, Oracle::kInvariant);
-    } catch (const FuzzFailure&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw FuzzFailure(std::string("response decoder threw a non-wire error: ") + e.what(),
-                          mutated, Oracle::kInvariant);
-    }
+    probe(response_replay, mutated, Oracle::kInvariant, "response decoder");
 }
 
 void report_roundtrip_corpus(CorpusWriter& w) {

@@ -72,26 +72,7 @@ void trace_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
             (void)e.metrics();
         }
     }
-    if (oracle == Oracle::kAccept && rejected) {
-        throw FuzzFailure("accept trace rejected: " + why,
-                          {bytes.begin(), bytes.end()}, Oracle::kAccept);
-    }
-    if (oracle == Oracle::kReject && !rejected) {
-        throw FuzzFailure("reject trace parsed cleanly", {bytes.begin(), bytes.end()},
-                          Oracle::kReject);
-    }
-}
-
-void trace_probe(const std::string& text, Oracle oracle) {
-    const auto bytes = to_bytes(text);
-    try {
-        trace_replay(bytes, oracle);
-    } catch (const FuzzFailure&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw FuzzFailure(std::string("trace parser threw an unexpected error: ") + e.what(),
-                          bytes, Oracle::kInvariant);
-    }
+    check_verdict(bytes, oracle, rejected, "trace", why);
 }
 
 void trace_iterate(std::uint64_t seed, std::uint64_t iter) {
@@ -109,7 +90,7 @@ void trace_iterate(std::uint64_t seed, std::uint64_t iter) {
                               Oracle::kAccept);
         }
     }
-    trace_probe(valid, Oracle::kAccept);
+    probe(trace_replay, to_bytes(valid), Oracle::kAccept, "trace parser");
 
     // Grammar-aware corruption: replace one numeric value with a breaker.
     {
@@ -119,21 +100,14 @@ void trace_iterate(std::uint64_t seed, std::uint64_t iter) {
             std::size_t end = corrupt.find_first_of(" \n", eq + 1);
             if (end == std::string::npos) end = corrupt.size();
             corrupt.replace(eq + 1, end - (eq + 1), bad_number(rng));
-            trace_probe(corrupt, Oracle::kReject);
+            probe(trace_replay, to_bytes(corrupt), Oracle::kReject, "trace parser");
         }
     }
 
     // Blind mutation: throw-or-parse, never crash.
     auto mutated = to_bytes(valid);
     mutate_bytes(mutated, rng, 6);
-    try {
-        trace_replay(mutated, Oracle::kInvariant);
-    } catch (const FuzzFailure&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw FuzzFailure(std::string("trace parser threw an unexpected error: ") + e.what(),
-                          mutated, Oracle::kInvariant);
-    }
+    probe(trace_replay, mutated, Oracle::kInvariant, "trace parser");
 }
 
 void trace_corpus(CorpusWriter& w) {
@@ -188,32 +162,13 @@ void config_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
         rejected = true;
         why = e.what();
     }
-    if (oracle == Oracle::kAccept && rejected) {
-        throw FuzzFailure("accept config rejected: " + why,
-                          {bytes.begin(), bytes.end()}, Oracle::kAccept);
-    }
-    if (oracle == Oracle::kReject && !rejected) {
-        throw FuzzFailure("reject config parsed cleanly", {bytes.begin(), bytes.end()},
-                          Oracle::kReject);
-    }
-}
-
-void config_probe(const std::string& text, Oracle oracle) {
-    const auto bytes = to_bytes(text);
-    try {
-        config_replay(bytes, oracle);
-    } catch (const FuzzFailure&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw FuzzFailure(std::string("config parser threw an unexpected error: ") + e.what(),
-                          bytes, Oracle::kInvariant);
-    }
+    check_verdict(bytes, oracle, rejected, "config", why);
 }
 
 void config_iterate(std::uint64_t seed, std::uint64_t iter) {
     Rng rng(mix_seed(seed, iter, 0x636f6e66));  // "conf"
     const std::string valid = random_config_text(rng);
-    config_probe(valid, Oracle::kAccept);
+    probe(config_replay, to_bytes(valid), Oracle::kAccept, "config parser");
 
     // A typed getter must reject a lax numeric value and name the key.
     {
@@ -244,14 +199,7 @@ void config_iterate(std::uint64_t seed, std::uint64_t iter) {
 
     auto mutated = to_bytes(valid);
     mutate_bytes(mutated, rng, 6);
-    try {
-        config_replay(mutated, Oracle::kInvariant);
-    } catch (const FuzzFailure&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw FuzzFailure(std::string("config parser threw an unexpected error: ") + e.what(),
-                          mutated, Oracle::kInvariant);
-    }
+    probe(config_replay, mutated, Oracle::kInvariant, "config parser");
 }
 
 void config_corpus(CorpusWriter& w) {

@@ -203,26 +203,12 @@ void wire_decode_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
     }
 }
 
-/// Convert a codec crash (non-WireError escaping the replay engine) into a
-/// finding that carries the input.
-template <class Fn>
-void probe(std::span<const std::uint8_t> bytes, Oracle oracle, Fn&& engine) {
-    try {
-        engine(bytes, oracle);
-    } catch (const FuzzFailure&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw FuzzFailure(std::string("decoder threw a non-wire error: ") + e.what(),
-                          to_vec(bytes), Oracle::kInvariant);
-    }
-}
-
 void wire_decode_iterate(std::uint64_t seed, std::uint64_t iter) {
     Rng rng(mix_seed(seed, iter, 0x77697265));  // "wire"
     const std::vector<std::uint8_t> frame = random_valid_frame(rng);
 
     // A structurally valid frame must decode cleanly.
-    probe(frame, Oracle::kAccept, wire_decode_replay);
+    probe(wire_decode_replay, frame, Oracle::kAccept, "decoder");
 
     // A strict payload prefix, re-sealed so the framing stays valid, must
     // be rejected by the payload codec — every codec ends in expect_end.
@@ -236,13 +222,13 @@ void wire_decode_iterate(std::uint64_t seed, std::uint64_t iter) {
         const auto truncated = net::encode_frame(static_cast<FrameType>(head.header.type),
                                                  head.header.request_id,
                                                  payload.first(cut), head.header.version);
-        probe(truncated, Oracle::kReject, wire_decode_replay);
+        probe(wire_decode_replay, truncated, Oracle::kReject, "decoder");
     }
 
     // Blind mutations must never escape the WireError contract.
     std::vector<std::uint8_t> mutated = frame;
     mutate_bytes(mutated, rng, 4);
-    probe(mutated, Oracle::kInvariant, wire_decode_replay);
+    probe(wire_decode_replay, mutated, Oracle::kInvariant, "decoder");
 }
 
 void wire_decode_corpus(CorpusWriter& w) {
@@ -431,13 +417,7 @@ void assembler_replay(std::span<const std::uint8_t> bytes, Oracle oracle) {
                        std::all_of(expected.begin(), expected.end(), [](const DrainedFrame& f) {
                            return f.status == FrameAssembler::Status::kFrame;
                        });
-    if (oracle == Oracle::kAccept && !clean) {
-        throw FuzzFailure("accept entry did not assemble into clean frames", to_vec(bytes),
-                          Oracle::kAccept);
-    }
-    if (oracle == Oracle::kReject && clean) {
-        throw FuzzFailure("reject entry assembled cleanly", to_vec(bytes), Oracle::kReject);
-    }
+    check_verdict(bytes, oracle, !clean, "entry", "no clean frames assembled");
 }
 
 void wire_assembler_iterate(std::uint64_t seed, std::uint64_t iter) {
@@ -460,11 +440,11 @@ void wire_assembler_iterate(std::uint64_t seed, std::uint64_t iter) {
         stream.insert(stream.end(), frame.begin(), frame.end());
     }
 
-    probe(stream, oversize ? Oracle::kReject : Oracle::kAccept, assembler_replay);
+    probe(assembler_replay, stream, oversize ? Oracle::kReject : Oracle::kAccept, "assembler");
 
     std::vector<std::uint8_t> mutated = stream;
     mutate_bytes(mutated, rng, 6);
-    probe(mutated, Oracle::kInvariant, assembler_replay);
+    probe(assembler_replay, mutated, Oracle::kInvariant, "assembler");
 }
 
 void wire_assembler_corpus(CorpusWriter& w) {

@@ -1,6 +1,7 @@
 #include "report_writer.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -105,6 +106,23 @@ std::string to_text(const zc::AssessmentReport& r) {
     std::ostringstream ss;
     write_text(ss, r);
     return ss.str();
+}
+
+std::string json_string(std::string_view s) {
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char esc[8];
+            std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
+            out += esc;
+        } else {
+            out += c;
+        }
+    }
+    return out + '"';
 }
 
 std::string to_json(const zc::AssessmentReport& r) {

@@ -13,6 +13,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "zc/tensor.hpp"
+
 namespace cuzc::io {
 
 /// Strict full-consumption numeric parse. Returns false (leaving `out`
@@ -30,6 +32,23 @@ template <class T>
     }
     out = value;
     return true;
+}
+
+/// Strict `HxWxL` extents (an `X` separator is accepted too). Each extent
+/// is a full parse_num count, and a zero extent is rejected.
+[[nodiscard]] inline bool parse_dims(std::string_view s, zc::Dims3& dims) {
+    std::size_t parts[3] = {0, 0, 0};
+    for (int idx = 0; idx < 3; ++idx) {
+        // Separators live strictly *between* extents, so a trailing
+        // "4x4x4x" leaves "4x" for the last extent and fails there.
+        const std::size_t sep = idx < 2 ? s.find_first_of("xX") : s.size();
+        if (sep == std::string_view::npos || !parse_num(s.substr(0, sep), parts[idx])) {
+            return false;
+        }
+        s.remove_prefix(idx < 2 ? sep + 1 : sep);
+    }
+    dims = zc::Dims3{parts[0], parts[1], parts[2]};
+    return dims.volume() > 0;
 }
 
 }  // namespace cuzc::io

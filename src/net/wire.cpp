@@ -393,8 +393,7 @@ void encode_request_into(Writer& w, const serve::AssessRequest& req) {
                                           const zc::Dims3& dims,
                                           const zc::SlabHandle& slab) {
     if constexpr (std::endian::native == std::endian::little) {
-        if (slab && !zc::data_plane_force_copy() &&
-            reinterpret_cast<std::uintptr_t>(raw.data()) % alignof(float) == 0) {
+        if (slab && reinterpret_cast<std::uintptr_t>(raw.data()) % alignof(float) == 0) {
             return zc::FieldRef::alias(slab, reinterpret_cast<const float*>(raw.data()),
                                        dims);
         }

@@ -43,7 +43,9 @@ zc::Dims3 read_header(ByteReader& r) {
 
 SzCompressed compress(const zc::Tensor3f& input, const SzConfig& cfg) {
     if (input.size() == 0) throw std::invalid_argument("sz::compress: empty input");
-    if (cfg.quant_codes < 16) throw std::invalid_argument("sz::compress: quant_codes too small");
+    if (cfg.quant_codes < 16 || cfg.quant_codes > kMaxQuantCodes) {
+        throw std::invalid_argument("sz::compress: quant_codes outside [16, 2^20]");
+    }
 
     SzCompressed out;
     out.dims = input.dims();
@@ -126,9 +128,9 @@ zc::Dims3 stream_dims(std::span<const std::uint8_t> bytes) {
 }
 
 zc::Field decompress(std::span<const std::uint8_t> bytes) {
-    // The stream may be hostile: the counts below are checked against the
-    // bytes left before anything is sized by them. num_codes, which sizes
-    // the dense code-length table, is not bounded yet.
+    // The stream may be hostile: every count below is checked before
+    // anything is sized by it — num_codes against the format's limit, the
+    // others against the bytes left.
     ByteReader r(bytes);
     const zc::Dims3 d = read_header(r);
     std::size_t n = 0;
@@ -137,6 +139,9 @@ zc::Field decompress(std::span<const std::uint8_t> bytes) {
     }
     const double eb = r.get<double>();
     const std::uint32_t num_codes = r.get<std::uint32_t>();
+    if (num_codes > kMaxQuantCodes) {
+        throw std::invalid_argument("sz::decompress: num_codes above 2^20");
+    }
     const std::uint32_t present = r.get<std::uint32_t>();
     if (present > r.remaining() / 5) {  // 5 bytes per (symbol, length) entry
         throw std::invalid_argument("sz::decompress: truncated code table");

@@ -8,9 +8,17 @@
 
 namespace cuzc::sz {
 
+/// Largest quantization alphabet a stream may declare: 2^20 codes, 16x
+/// the default. The stream stores it as a u32 and the decoder sizes a
+/// dense code-length table from it, so `compress` refuses a larger
+/// `quant_codes` and `decompress` rejects a larger `num_codes` before
+/// allocating anything.
+inline constexpr std::uint32_t kMaxQuantCodes = 1u << 20;
+
 /// Compression configuration. `abs_error_bound` is the pointwise absolute
 /// bound; when `use_rel_bound` is set the effective absolute bound is
 /// rel_error_bound * (value range of the input), SZ's "REL" mode.
+/// `quant_codes` lies in [16, kMaxQuantCodes].
 struct SzConfig {
     double abs_error_bound = 1e-3;
     bool use_rel_bound = false;

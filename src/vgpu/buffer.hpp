@@ -58,16 +58,16 @@ public:
     /// copying it in. Charges the same modeled H2D transfer and draws the
     /// same fault-stream event as `upload`, so counter streams are
     /// bit-identical across the two paths. When the drawn fault corrupts
-    /// the upload (or the data plane is forced into legacy copies), the
-    /// payload is copied first and the bit flip lands on the private copy
-    /// — copy-on-corrupt; a shared payload is never mutated.
+    /// the upload, the payload is copied first and the bit flip lands on
+    /// the private copy — copy-on-corrupt; a shared payload is never
+    /// mutated.
     void adopt(const zc::FieldRef& host)
         requires std::is_same_v<T, float>
     {
         assert(host.size() == n_);
         dev_->note_h2d(host.size() * sizeof(float));
         const std::uint64_t h = dev_->fault_point_upload();
-        if (h != 0 || zc::data_plane_force_copy() || host.data().data() == nullptr) {
+        if (h != 0 || host.data().data() == nullptr) {
             detach();
             std::copy(host.data().begin(), host.data().end(), mem_.begin());
             zc::data_plane_note_copy(host.size() * sizeof(float));

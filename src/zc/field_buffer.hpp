@@ -58,7 +58,6 @@ struct DataPlaneCounters {
     std::atomic<std::uint64_t> adoptions{0};
     std::atomic<std::uint64_t> pool_bytes{0};
     std::atomic<std::uint64_t> pool_high_water{0};
-    std::atomic<bool> force_copy{false};
 };
 
 inline DataPlaneCounters& data_plane_counters() noexcept {
@@ -69,7 +68,7 @@ inline DataPlaneCounters& data_plane_counters() noexcept {
 }  // namespace detail
 
 /// Record `bytes` of payload movement. Every copy the data plane performs
-/// — decode fallback, forced upload copy, staging into a FieldBuffer,
+/// — misaligned decode, copy-on-corrupt upload, staging into a FieldBuffer,
 /// assembler migration — funnels through here so the telemetry ledger and
 /// the bench_data_plane gate see the same number.
 inline void data_plane_note_copy(std::size_t bytes) noexcept {
@@ -78,18 +77,6 @@ inline void data_plane_note_copy(std::size_t bytes) noexcept {
 
 inline void data_plane_note_adoption() noexcept {
     detail::data_plane_counters().adoptions.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// When set, every alias opportunity degrades to the legacy copy path
-/// (decode copies + upload memcpy). Benchmarks flip this to measure the
-/// before/after copy ledger on identical traffic; results are bit-identical
-/// either way.
-inline void set_data_plane_force_copy(bool on) noexcept {
-    detail::data_plane_counters().force_copy.store(on, std::memory_order_relaxed);
-}
-
-[[nodiscard]] inline bool data_plane_force_copy() noexcept {
-    return detail::data_plane_counters().force_copy.load(std::memory_order_relaxed);
 }
 
 [[nodiscard]] inline DataPlaneStats data_plane_stats() noexcept {

@@ -81,12 +81,13 @@ struct MetricsConfig {
     }
 
     [[nodiscard]] static MetricsConfig all() { return MetricsConfig{}; }
-    [[nodiscard]] static MetricsConfig only(Pattern p) {
-        MetricsConfig c;
-        c.pattern1 = p == Pattern::kGlobalReduction;
-        c.pattern2 = p == Pattern::kStencil;
-        c.pattern3 = p == Pattern::kSlidingWindow;
-        return c;
+    [[nodiscard]] static MetricsConfig only(Pattern p) { return only(p, MetricsConfig{}); }
+    /// `base` with only pattern `p`'s metrics enabled.
+    [[nodiscard]] static MetricsConfig only(Pattern p, MetricsConfig base) {
+        base.pattern1 = p == Pattern::kGlobalReduction;
+        base.pattern2 = p == Pattern::kStencil;
+        base.pattern3 = p == Pattern::kSlidingWindow;
+        return base;
     }
 };
 

@@ -1,8 +1,21 @@
 // Validation of the benchmark methodology itself: profiles measured at two
 // different scales must extrapolate to consistent full-size estimates, and
-// the grid-shape rules must match what the kernels actually launch.
+// the grid-shape rules must match what the kernels actually launch. Also
+// the CI gate benches' shared harness: strict flags, the report-identity
+// check and the cuzc-bench-v1 record.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <initializer_list>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "cuzc/cuzc.hpp"
 #include "harness.hpp"
@@ -22,17 +35,8 @@ vgpu::KernelStats run_pattern(zc::Pattern p, const zc::Dims3& dims,
     const zc::Field orig = tst::smooth_field(dims, 3);
     const zc::Field dec = tst::perturbed(orig, 0.01, 5);
     vgpu::Device dev;
-    zc::MetricsConfig only = cfg;
-    only.pattern1 = p == zc::Pattern::kGlobalReduction;
-    only.pattern2 = p == zc::Pattern::kStencil;
-    only.pattern3 = p == zc::Pattern::kSlidingWindow;
-    const auto r = czc::assess(dev, orig.view(), dec.view(), only);
-    switch (p) {
-        case zc::Pattern::kGlobalReduction: return r.pattern1;
-        case zc::Pattern::kStencil: return r.pattern2;
-        case zc::Pattern::kSlidingWindow: return r.pattern3;
-    }
-    return {};
+    const auto only = zc::MetricsConfig::only(p, cfg);
+    return pattern_stats(czc::assess(dev, orig.view(), dec.view(), only), p);
 }
 
 class ExtrapolationConsistency : public ::testing::TestWithParam<zc::Pattern> {};
@@ -133,6 +137,190 @@ TEST(Harness, PatternTimesOrderingHolds) {
             EXPECT_LT(t.mozc_s, t.ompzc_s) << d.name << " pattern " << static_cast<int>(p);
         }
     }
+}
+
+/// Every numeric slot of a report, in wire order.
+std::vector<double*> report_slots(zc::AssessmentReport& r) {
+    zc::ReductionReport& a = r.reduction;
+    zc::StencilReport& s = r.stencil;
+    std::vector<double*> out{
+        &a.min_val,     &a.max_val,         &a.value_range,     &a.mean_val,
+        &a.var_val,     &a.std_val,         &a.entropy,         &a.min_err,
+        &a.max_err,     &a.avg_err,         &a.avg_abs_err,     &a.max_abs_err,
+        &a.min_pwr_err, &a.max_pwr_err,     &a.avg_pwr_err,     &a.mse,
+        &a.rmse,        &a.nrmse,           &a.snr_db,          &a.psnr_db,
+        &a.pearson_r,   &a.err_pdf_min,     &a.err_pdf_max,     &a.pwr_err_pdf_min,
+        &a.pwr_err_pdf_max,
+        &s.deriv1_avg_orig, &s.deriv1_max_orig, &s.deriv1_avg_dec, &s.deriv1_max_dec,
+        &s.deriv1_mse,  &s.deriv2_avg_orig, &s.deriv2_max_orig, &s.deriv2_avg_dec,
+        &s.deriv2_max_dec, &s.deriv2_mse,   &s.divergence_avg_orig, &s.divergence_avg_dec,
+        &s.laplacian_avg_orig, &s.laplacian_avg_dec, &r.ssim.ssim,
+    };
+    for (auto* v : {&a.err_pdf, &a.pwr_err_pdf, &s.autocorr}) {
+        for (double& d : *v) out.push_back(&d);
+    }
+    return out;
+}
+
+zc::AssessmentReport sample_report() {
+    zc::AssessmentReport r;
+    r.reduction.err_pdf = {0.25, 0.5, 0.25};
+    r.reduction.pwr_err_pdf = {0.5, 0.5};
+    r.stencil.autocorr = {0.9, -0.1};
+    r.ssim.windows = 7;
+    double v = 1.5;
+    for (double* slot : report_slots(r)) *slot = (v += 0.375);
+    return r;
+}
+
+TEST(ReportIdentity, EveryFieldIsComparedBitForBit) {
+    const zc::AssessmentReport base = sample_report();
+    EXPECT_TRUE(reports_identical(base, sample_report()));
+    zc::AssessmentReport probe = sample_report();
+    const std::size_t n = report_slots(probe).size();
+    ASSERT_EQ(n, 47u);
+    for (std::size_t i = 0; i < n; ++i) {
+        zc::AssessmentReport ulp = sample_report();
+        double& slot = *report_slots(ulp)[i];
+        slot = std::nextafter(slot, std::numeric_limits<double>::infinity());
+        EXPECT_FALSE(reports_identical(base, ulp)) << "slot " << i;
+
+        zc::AssessmentReport pos = sample_report(), neg = sample_report();
+        *report_slots(pos)[i] = 0.0;
+        *report_slots(neg)[i] = -0.0;
+        EXPECT_TRUE(*report_slots(pos)[i] == *report_slots(neg)[i]);
+        EXPECT_FALSE(reports_identical(pos, neg)) << "slot " << i;
+    }
+    zc::AssessmentReport windows = sample_report();
+    ++windows.ssim.windows;
+    EXPECT_FALSE(reports_identical(base, windows));
+    zc::AssessmentReport longer = sample_report();
+    longer.stencil.autocorr.push_back(0.0);
+    EXPECT_FALSE(reports_identical(base, longer));
+}
+
+std::string parse(const Flags& flags, std::initializer_list<const char*> args) {
+    std::vector<const char*> argv{"bench"};
+    argv.insert(argv.end(), args);
+    return flags.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchFlags, TableRejectsGarbageOverflowEmptyAndUnknownFlags) {
+    // The flag table of bench_net_throughput.
+    std::size_t requests = 200, trials = 5;
+    double tight = 0.1;
+    bool check = false;
+    std::string out = "BENCH_net_throughput.json";
+    Flags flags("bench_net_throughput");
+    flags.num("--requests", requests, std::size_t{1})
+        .num("--tight", tight, 0.0)
+        .num("--trials", trials, std::size_t{1})
+        .flag("--check", check)
+        .text("--out", out);
+    for (const char* bad :
+         {"--requests=12x", "--requests=99999999999999999999999", "--requests=",
+          "--requests=0", "--requests=-3", "--requests=+4", "--requests= 4", "--requests",
+          "--tight=nan", "--tight=0.1x", "--tight=", "--tight=-1", "--check=1", "--chek",
+          "--requests_=4", "requests=4"}) {
+        EXPECT_NE(parse(flags, {bad}), "") << bad;
+    }
+    EXPECT_EQ(requests, 200u);
+    EXPECT_EQ(tight, 0.1);
+    EXPECT_FALSE(check);
+    EXPECT_EQ(parse(flags, {"--requests=12", "--tight=0.25", "--check", "--out="}), "");
+    EXPECT_EQ(requests, 12u);
+    EXPECT_EQ(tight, 0.25);
+    EXPECT_TRUE(check);
+    EXPECT_EQ(out, "");
+}
+
+TEST(BenchFlags, ListsAndDimsAreStrict) {
+    std::vector<unsigned> scales{8, 4};
+    zc::Dims3 dims{40, 40, 40};
+    Flags flags("bench");
+    flags.list("--scales", scales).dims("--dims", dims);
+    for (const char* bad : {"--scales=", "--scales=8,", "--scales=,4", "--scales=8,,4",
+                            "--scales=0", "--scales=8x", "--scales=-4", "--dims=4x5",
+                            "--dims=4x5x6x", "--dims=4x0x6", "--dims=4x5x", "--dims="}) {
+        EXPECT_NE(parse(flags, {bad}), "") << bad;
+    }
+    EXPECT_EQ(scales, (std::vector<unsigned>{8, 4}));
+    EXPECT_EQ(parse(flags, {"--scales=16", "--dims=4x5x6"}), "");
+    EXPECT_EQ(scales, (std::vector<unsigned>{16}));
+    EXPECT_EQ(dims, (zc::Dims3{4, 5, 6}));
+}
+
+/// BenchConfig::from_args on a real argv (it takes `char**` in every
+/// revision of the harness).
+BenchConfig scale_from(std::initializer_list<const char*> args) {
+    std::vector<std::string> store{"bench_fig10_overall"};
+    store.insert(store.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& a : store) argv.push_back(a.data());
+    return BenchConfig::from_args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchConfigDeathTest, ScaleTypoExitsInsteadOfRunningFullSize) {
+    // Each of these used to select scale 1: the full 141M-element fields.
+    ::unsetenv("CUZC_BENCH_SCALE");
+    for (const char* bad : {"--scale=abc", "--scale=-4", "--scale=0", "--scale=", "--scale=8x",
+                            "--scale=99999999999", "--scales=8"}) {
+        EXPECT_EXIT((void)scale_from({bad}), ::testing::ExitedWithCode(2),
+                    "bench_fig10_overall: ")
+            << bad;
+    }
+    for (const char* bad : {"", "abc", "0", "-4"}) {
+        ::setenv("CUZC_BENCH_SCALE", bad, 1);
+        EXPECT_EXIT((void)scale_from({}), ::testing::ExitedWithCode(2), "CUZC_BENCH_SCALE")
+            << "'" << bad << "'";
+    }
+    ::setenv("CUZC_BENCH_SCALE", "4", 1);
+    EXPECT_EQ(scale_from({}).scale, 4u);
+    EXPECT_EQ(scale_from({"--scale=16"}).scale, 16u);
+    ::unsetenv("CUZC_BENCH_SCALE");
+    EXPECT_EQ(scale_from({}).scale, 8u);
+}
+
+TEST(BenchRecord, WritesEnvelopeKeysAndGates) {
+    Record rec("bench_test");
+    rec.num("requests", 32).num("relative_throughput", 0.75).str("dims", "4x4x4");
+    rec.raw("results", "[\n    {\"stats\":" + stats_json(vgpu::KernelStats{}) + "}\n  ]");
+    EXPECT_TRUE(rec.check("identical", 32, Op::kEqual, 32));
+    EXPECT_FALSE(rec.check("relative_throughput", 0.75, Op::kAtLeast, 0.8, false));
+    EXPECT_EQ(rec.status(), 0);  // the failed floor was not enforced
+
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("cuzc_bench_record_" + std::to_string(::getpid()) + ".json");
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(rec.finish(path.string()), 0);
+    const std::string printed = testing::internal::GetCapturedStdout();
+    std::ifstream in(path);
+    std::stringstream doc;
+    doc << in.rdbuf();
+    std::filesystem::remove(path);
+    const std::string text = doc.str();
+    EXPECT_EQ(printed, text);
+    for (const char* key : {"\"schema\": \"cuzc-bench-v1\"", "\"bench\": \"bench_test\"",
+                            "\"simd\": \"simd=", "\"block_workers\": ", "\"nproc\": ",
+                            "\"peak_rss_kib\": ", "\"requests\": 32",
+                            "\"relative_throughput\": 0.75", "\"dims\": \"4x4x4\"",
+                            "\"stats\":{\"blocks\":0,", "\"gates\": [",
+                            "{\"name\": \"identical\", \"value\": 32, \"op\": \"==\", "
+                            "\"threshold\": 32, \"outcome\": \"pass\"}",
+                            "\"op\": \">=\", \"threshold\": 0.8, \"outcome\": \"skip\"}"}) {
+        EXPECT_NE(text.find(key), std::string::npos) << key << "\n" << text;
+    }
+    EXPECT_LT(text.find("\"peak_rss_kib\""), text.find("\"requests\""));
+    EXPECT_LT(text.find("\"requests\""), text.find("\"gates\""));
+
+    // An enforced failing gate is reported and fails the run.
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(rec.check("bytes_copied", 245888, Op::kEqual, 0));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "bench_test: FAIL bytes_copied: 245888 == 0 does not hold\n");
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(rec.finish(""), 1);
+    (void)testing::internal::GetCapturedStdout();
 }
 
 TEST(Harness, Formatting) {

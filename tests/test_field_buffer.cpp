@@ -125,14 +125,6 @@ TEST(FieldBuffer, StagingSealsIntoAlignedRef) {
     }
 }
 
-TEST(FieldBuffer, ForceCopySwitchRoundTrips) {
-    EXPECT_FALSE(zc::data_plane_force_copy());
-    zc::set_data_plane_force_copy(true);
-    EXPECT_TRUE(zc::data_plane_force_copy());
-    zc::set_data_plane_force_copy(false);
-    EXPECT_FALSE(zc::data_plane_force_copy());
-}
-
 TEST(FieldBuffer, StatsTrackPoolHighWater) {
     zc::reset_data_plane_stats();
     const auto before = zc::data_plane_stats();

@@ -32,7 +32,7 @@ namespace fs = std::filesystem;
 const char* const kExpectedTargets[] = {
     "wire-decode", "wire-assembler", "session",     "stream-diff",
     "simd-diff",   "cache-key",      "report-roundtrip", "trace-parse",
-    "config-parse",
+    "config-parse", "sz-decode",
 };
 
 TEST(FuzzRegistry, BuiltinTargetsAreRegisteredOnce) {

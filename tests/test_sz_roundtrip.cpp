@@ -176,6 +176,14 @@ TEST(SzCompressor, InvalidInputsThrow) {
     cfg.abs_error_bound = 1e-3;
     cfg.quant_codes = 4;
     EXPECT_THROW((void)sz::compress(f.view(), cfg), std::invalid_argument);
+    cfg.quant_codes = sz::kMaxQuantCodes + 1;
+    EXPECT_THROW((void)sz::compress(f.view(), cfg), std::invalid_argument);
+    // The limit itself is a valid alphabet.
+    cfg.quant_codes = sz::kMaxQuantCodes;
+    const zc::Field back = sz::decompress(sz::compress(f.view(), cfg).bytes);
+    for (std::size_t i = 0; i < f.size(); ++i) {
+        EXPECT_LE(std::fabs(static_cast<double>(back.data()[i]) - f.data()[i]), 1e-3);
+    }
 }
 
 TEST(SzCompressor, CorruptStreamIsRejected) {
@@ -200,6 +208,21 @@ TEST(SzCompressor, CorruptStreamIsRejected) {
     const auto bomb = tst::one_symbol_sz_stream({1024, 1024, 256}, {0x00});
     EXPECT_EQ(bomb.size(), 66u);
     EXPECT_THROW((void)sz::decompress(bomb), std::invalid_argument);
+
+    // 61 bytes declaring num_codes = 2^32 - 1 (no symbols, one payload
+    // byte) must not size a 4 GiB code-length table.
+    sz::ByteWriter w;
+    w.put<std::uint32_t>(0x435a5343);  // magic
+    for (const std::uint64_t extent : {1, 1, 8}) w.put<std::uint64_t>(extent);
+    w.put<double>(1e-3);               // error bound
+    w.put<std::uint32_t>(0xFFFFFFFFu);  // num_codes
+    w.put<std::uint32_t>(0);           // symbols present
+    w.put<std::uint64_t>(0);           // unpredictable values
+    w.put<std::uint64_t>(1);           // payload bytes
+    w.put<std::uint8_t>(0x00);
+    const std::vector<std::uint8_t> table_bomb = w.finish();
+    EXPECT_EQ(table_bomb.size(), 61u);
+    EXPECT_THROW((void)sz::decompress(table_bomb), std::invalid_argument);
 
     // The same layout with a payload that can hold the field decodes.
     const zc::Field ones = sz::decompress(tst::one_symbol_sz_stream({1, 1, 8}, {0x00}));

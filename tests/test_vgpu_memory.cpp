@@ -198,17 +198,4 @@ TEST(VgpuBufferAdopt, CorruptionCopiesFirstAndMatchesUploadBitFlip) {
     EXPECT_EQ(host.slab().use_count(), 1u);  // corrupt path does not pin
 }
 
-TEST(VgpuBufferAdopt, ForceCopyModeIsBitIdenticalToAliasing) {
-    const zc::FieldRef host = staged_field(48);
-    Device dev;
-    DeviceBuffer<float> aliased(dev, 48);
-    aliased.adopt(host);
-    zc::set_data_plane_force_copy(true);
-    DeviceBuffer<float> copied(dev, 48);
-    copied.adopt(host);
-    zc::set_data_plane_force_copy(false);
-    EXPECT_EQ(copied.raw() == host.data().data(), false);
-    EXPECT_EQ(aliased.download(), copied.download());
-}
-
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <thread>
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -32,27 +31,6 @@
 namespace cuzc::cli {
 
 namespace {
-
-[[nodiscard]] bool parse_dims(std::string_view s, zc::Dims3& dims) {
-    std::size_t parts[3] = {0, 0, 0};
-    const char* p = s.data();
-    const char* end = s.data() + s.size();
-    for (int idx = 0; idx < 3; ++idx) {
-        const auto [next, ec] = std::from_chars(p, end, parts[idx]);
-        if (ec != std::errc{} || next == p) return false;
-        p = next;
-        // Separators live strictly *between* extents, so a trailing
-        // "4x4x4x" fails the full-consumption check below instead of the
-        // old loop eating it as an empty fourth part.
-        if (idx < 2) {
-            if (p >= end || (*p != 'x' && *p != 'X')) return false;
-            ++p;
-        }
-    }
-    if (p != end) return false;
-    dims = zc::Dims3{parts[0], parts[1], parts[2]};
-    return dims.volume() > 0;
-}
 
 [[nodiscard]] std::vector<std::uint8_t> read_bytes(const std::string& path) {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -140,7 +118,7 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::ostr
         } else if (const char* v3 = value_of(a, "--sz=")) {
             opt.sz_stream_path = v3;
         } else if (const char* v4 = value_of(a, "--dims=")) {
-            if (!parse_dims(v4, opt.dims)) {
+            if (!io::parse_dims(v4, opt.dims)) {
                 err << "cuzc: bad --dims, expected HxWxL with positive extents\n";
                 return std::nullopt;
             }
@@ -411,29 +389,10 @@ struct ReplaySummary {
     return 0;
 }
 
-/// `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped.
-[[nodiscard]] std::string json_string(std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
-            out += esc;
-        } else {
-            out += c;
-        }
-    }
-    return out + '"';
-}
-
 void write_replay_json(std::ostream& os, const CliOptions& opt, const ReplaySummary& sum) {
     os << "{\n"
        << "  \"schema\": \"cuzc-serve-replay-v2\",\n"
-       << "  \"trace\": " << json_string(opt.replay_path) << ",\n"
+       << "  \"trace\": " << io::json_string(opt.replay_path) << ",\n"
        << "  \"simd\": \"" << vgpu::simd::banner() << "\",\n"
        << "  \"devices\": " << opt.devices << ",\n"
        << "  \"threads\": " << vgpu::BlockScheduler::instance().max_workers() << ",\n"
@@ -556,7 +515,7 @@ int run_replay_connect(const CliOptions& opt, std::ostream& out, std::ostream& e
     write_replay_json(*sink, opt, sum);
     *sink << "  \"client\": {\n"
           << "    \"server\": "
-          << json_string(opt.connect_host + ":" + std::to_string(opt.connect_port)) << ",\n"
+          << io::json_string(opt.connect_host + ":" + std::to_string(opt.connect_port)) << ",\n"
           << "    \"frames_tx\": " << client.frames_tx() << ",\n"
           << "    \"frames_rx\": " << client.frames_rx() << ",\n"
           << "    \"bytes_tx\": " << client.bytes_tx() << ",\n"

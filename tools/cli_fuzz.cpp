@@ -62,14 +62,7 @@ void cli_replay(std::span<const std::uint8_t> bytes, fuzz::Oracle oracle) {
         throw fuzz::FuzzFailure(std::string("parse_cli threw: ") + e.what(),
                                 {bytes.begin(), bytes.end()}, fuzz::Oracle::kInvariant);
     }
-    if (oracle == fuzz::Oracle::kAccept && !accepted) {
-        throw fuzz::FuzzFailure("accept command line rejected: " + err.str(),
-                                {bytes.begin(), bytes.end()}, fuzz::Oracle::kAccept);
-    }
-    if (oracle == fuzz::Oracle::kReject && accepted) {
-        throw fuzz::FuzzFailure("reject command line parsed cleanly",
-                                {bytes.begin(), bytes.end()}, fuzz::Oracle::kReject);
-    }
+    fuzz::check_verdict(bytes, oracle, !accepted, "command line", err.str());
     if (!accepted && err.str().empty()) {
         throw fuzz::FuzzFailure("parse_cli rejected without a diagnostic",
                                 {bytes.begin(), bytes.end()}, fuzz::Oracle::kInvariant);
