@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     std::size_t trials = 3;
     bool check = false;
     std::string out_path = "BENCH_data_plane.json";
-    bench::Flags("bench_data_plane")
+    cuzc::io::Flags("bench_data_plane")
         .num("--requests", requests, std::size_t{1})
         .num("--devices", devices, std::size_t{1})
         .num("--trials", trials, std::size_t{1})
@@ -113,20 +112,18 @@ int main(int argc, char** argv) {
     }
 
     const double per_req = static_cast<double>(stats.bytes_copied) / static_cast<double>(n);
-    std::ostringstream leg;
-    leg << "{\n    \"bytes_copied\": " << stats.bytes_copied
-        << ",\n    \"bytes_copied_per_request\": " << per_req
-        << ",\n    \"adoptions\": " << stats.adoptions
-        << ",\n    \"slab_reuses\": " << stats.slab_reuses << ",\n    \"seconds\": " << seconds
-        << "\n  }";
     bench::Record rec("bench_data_plane");
-    rec.num("requests", n)
-        .num("devices", devices)
-        .num("trials", trials)
-        .num("identical", identical)
-        .num("payload_bytes", payload_bytes)
-        .num("cache_misses", service_tele.cache_misses)
-        .raw("zero_copy", leg.str());
+    rec.set("requests", n)
+        .set("devices", devices)
+        .set("trials", trials)
+        .set("identical", identical)
+        .set("payload_bytes", payload_bytes)
+        .set("cache_misses", service_tele.cache_misses)
+        .set("zero_copy", cuzc::io::Json::Object{{"bytes_copied", stats.bytes_copied},
+                                                 {"bytes_copied_per_request", per_req},
+                                                 {"adoptions", stats.adoptions},
+                                                 {"slab_reuses", stats.slab_reuses},
+                                                 {"seconds", seconds}});
     rec.check("identical_to_inprocess", identical, bench::Op::kEqual, n);
     rec.check("trials_reconciled", reconciled, bench::Op::kEqual, trials);
     rec.check("bytes_copied", stats.bytes_copied, bench::Op::kEqual, 0, check);

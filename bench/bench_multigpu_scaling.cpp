@@ -43,6 +43,7 @@ namespace zc = ::cuzc::zc;
 namespace vgpu = ::cuzc::vgpu;
 namespace czc = ::cuzc::cuzc;
 namespace serve = ::cuzc::serve;
+namespace io = ::cuzc::io;
 using namespace ::cuzc::bench;
 
 /// NVLink2 aggregate bandwidth per V100 and a per-collective tree-hop
@@ -169,7 +170,7 @@ int run_slicing_micro(const PreparedDataset& ds) {
 int main(int argc, char** argv) {
     BenchConfig cfg;
     bool check = false;
-    Flags flags("bench_multigpu_scaling");
+    io::Flags flags("bench_multigpu_scaling");
     cfg.declare(flags);
     flags.flag("--check", check).parse_or_exit(argc, argv);
     Gates gates("bench_multigpu_scaling");
@@ -327,7 +328,7 @@ int main(int argc, char** argv) {
         // balance exactly, and the shard counters must agree with the
         // per-response view.
         const bool reconciles =
-            ledger_reconciles(tele) && tele.shards == (sharded ? sharded_devices_seen : 0);
+            tele.reconciles() && tele.shards == (sharded ? sharded_devices_seen : 0);
         const std::string gate = std::string("serve_") + mode;
         gates.check(gate + "_rejected_or_degraded", failed, Op::kEqual, 0);
         gates.check(gate + "_matches_direct", matched, Op::kEqual, datasets.size());

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     std::size_t repeat = 4;  // sessions / requests per timed trial
     bool check = false;
     std::string out_path = "BENCH_net_streaming.json";
-    bench::Flags("bench_net_streaming")
+    cuzc::io::Flags("bench_net_streaming")
         .dims("--dims", dims)
         .num("--chunk", chunk, std::size_t{1})
         .num("--trials", trials, std::size_t{1})
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         const bool pdf_range_exact = got.err_pdf.size() == ref.err_pdf.size() &&
                                      got.err_pdf_min == ref.err_pdf_min &&
                                      got.err_pdf_max == ref.err_pdf_max;
-        rec.raw("moments_bit_identical", moments_identical ? "true" : "false");
+        rec.set("moments_bit_identical", moments_identical);
         rec.check("moments_identical_to_batch", moments_identical, bench::Op::kEqual, 1);
         // The PDFs agree within the documented chunk-rebinning tolerance.
         rec.check("pdf_range_exact", pdf_range_exact, bench::Op::kEqual, 1);
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
                   0.05 * std::max(std::fabs(ref.entropy), 1.0));
         rec.check("pdf_l1", l1, bench::Op::kAtMost, 0.5);
         const bool reconciles = tele.streams_opened == 1 && tele.streams_aborted == 0 &&
-                                bench::ledger_reconciles(tele) && tele.requests_in_flight == 0;
+                                tele.reconciles() && tele.requests_in_flight == 0;
         rec.check("stream_telemetry_reconciles", reconciles, bench::Op::kEqual, 1);
     }
 
@@ -159,18 +159,18 @@ int main(int argc, char** argv) {
     const double stream_mbps = stream_seconds > 0 ? data_mb / stream_seconds : 0;
     const double relative = frame_mbps > 0 ? stream_mbps / frame_mbps : 0;
 
-    rec.str("dims", std::to_string(dims.h) + "x" + std::to_string(dims.w) + "x" +
+    rec.set("dims", std::to_string(dims.h) + "x" + std::to_string(dims.w) + "x" +
                         std::to_string(dims.l))
-        .num("chunk_elements", chunk)
-        .num("trials", trials)
-        .num("repeat", repeat)
-        .num("whole_frame_seconds", frame_seconds)
-        .num("streamed_seconds", stream_seconds)
-        .num("whole_frame_mbps", frame_mbps)
-        .num("streamed_mbps", stream_mbps)
-        .num("relative_throughput", relative)
-        .num("stream_chunks", stream_chunks)
-        .num("stream_bytes", stream_bytes);
+        .set("chunk_elements", chunk)
+        .set("trials", trials)
+        .set("repeat", repeat)
+        .set("whole_frame_seconds", frame_seconds)
+        .set("streamed_seconds", stream_seconds)
+        .set("whole_frame_mbps", frame_mbps)
+        .set("streamed_mbps", stream_mbps)
+        .set("relative_throughput", relative)
+        .set("stream_chunks", stream_chunks)
+        .set("stream_bytes", stream_bytes);
     rec.check("rejected", rejected, bench::Op::kEqual, 0);
     rec.check("relative_throughput", relative, bench::Op::kAtLeast, 0.4, check);
     std::fprintf(stderr,

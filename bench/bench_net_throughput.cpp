@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
     std::size_t trials = 5;
     bool check = false;
     std::string out_path = "BENCH_net_throughput.json";
-    bench::Flags("bench_net_throughput")
+    cuzc::io::Flags("bench_net_throughput")
         .num("--requests", gen.requests, std::size_t{1})
         .num("--distinct", gen.distinct, std::size_t{1})
         .num("--tight", gen.tight_deadline_fraction, 0.0)
@@ -110,9 +109,7 @@ int main(int argc, char** argv) {
                              i);
             }
         }
-        if (bench::ledger_reconciles(trial_tele) && trial_tele.requests_accepted == n &&
-            trial_tele.connections_accepted ==
-                trial_tele.connections_active + trial_tele.connections_closed) {
+        if (trial_tele.reconciles() && trial_tele.requests_accepted == n) {
             ++reconciled;
         } else {
             std::fprintf(stderr, "bench_net_throughput: wire telemetry does not reconcile\n");
@@ -128,23 +125,20 @@ int main(int argc, char** argv) {
     const double inproc_rps = inproc_seconds > 0 ? static_cast<double>(n) / inproc_seconds : 0;
     const double net_rps = net_seconds > 0 ? static_cast<double>(n) / net_seconds : 0;
     const double relative = inproc_rps > 0 ? net_rps / inproc_rps : 0;
-    std::ostringstream tele_json;
-    tele.write_json(tele_json, 2);
-
     bench::Record rec("bench_net_throughput");
-    rec.num("requests", n)
-        .num("distinct", gen.distinct)
-        .num("devices", devices)
-        .num("trials", trials)
-        .num("identical", identical)
-        .num("inproc_seconds", inproc_seconds)
-        .num("net_seconds", net_seconds)
-        .num("inproc_rps", inproc_rps)
-        .num("net_rps", net_rps)
-        .num("relative_throughput", relative)
-        .num("wire_bytes_tx", bytes_tx)
-        .num("wire_bytes_rx", bytes_rx)
-        .raw("telemetry", tele_json.str());
+    rec.set("requests", n)
+        .set("distinct", gen.distinct)
+        .set("devices", devices)
+        .set("trials", trials)
+        .set("identical", identical)
+        .set("inproc_seconds", inproc_seconds)
+        .set("net_seconds", net_seconds)
+        .set("inproc_rps", inproc_rps)
+        .set("net_rps", net_rps)
+        .set("relative_throughput", relative)
+        .set("wire_bytes_tx", bytes_tx)
+        .set("wire_bytes_rx", bytes_rx)
+        .set("telemetry", tele.json());
     rec.check("diverged_over_the_wire", divergent, bench::Op::kEqual, 0);
     rec.check("trials_reconciled", reconciled, bench::Op::kEqual, trials);
     rec.check("relative_throughput", relative, bench::Op::kAtLeast, 0.8, check);

@@ -29,7 +29,6 @@
 // The telemetry reconciliation gate below holds in both modes.
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
     std::size_t devices = 1;
     std::string out_path = "BENCH_serve_throughput.json";
     std::string faults_spec;
-    bench::Flags("bench_serve_throughput")
+    cuzc::io::Flags("bench_serve_throughput")
         .num("--requests", gen.requests, std::size_t{1})
         .num("--distinct", gen.distinct, std::size_t{1})
         .num("--tight", gen.tight_deadline_fraction, 0.0)
@@ -117,27 +116,24 @@ int main(int argc, char** argv) {
 
     const serve::ServiceTelemetry tele = service.telemetry();
     const double speedup = run.seconds > 0 ? naive_seconds / run.seconds : 0;
-    std::ostringstream tele_json;
-    tele.write_json(tele_json, 2);
-
     bench::Record rec("bench_serve_throughput");
-    rec.num("requests", reqs.size())
-        .num("distinct", gen.distinct)
-        .num("devices", devices)
-        .num("tight_deadline_fraction", gen.tight_deadline_fraction)
-        .num("checked_against_direct", checked)
-        .num("degraded", degraded)
-        .num("rejected", rejected)
-        .num("faulted", faulted)
-        .num("naive_seconds", naive_seconds)
-        .num("serve_seconds", run.seconds)
-        .num("speedup", speedup)
-        .raw("telemetry", tele_json.str());
+    rec.set("requests", reqs.size())
+        .set("distinct", gen.distinct)
+        .set("devices", devices)
+        .set("tight_deadline_fraction", gen.tight_deadline_fraction)
+        .set("checked_against_direct", checked)
+        .set("degraded", degraded)
+        .set("rejected", rejected)
+        .set("faulted", faulted)
+        .set("naive_seconds", naive_seconds)
+        .set("serve_seconds", run.seconds)
+        .set("speedup", speedup)
+        .set("telemetry", tele.json());
     rec.check("diverged_from_direct", diverged, bench::Op::kEqual, 0);
     rec.check("rejected", rejected, bench::Op::kEqual, 0, !fault_mode);
     // Reconciliation gate: after every future resolved, the counters must
     // balance exactly — fault mode included.
-    rec.check("telemetry_reconciles", bench::ledger_reconciles(tele), bench::Op::kEqual, 1);
+    rec.check("telemetry_reconciles", tele.reconciles(), bench::Op::kEqual, 1);
     std::fprintf(stderr, "bench_serve_throughput: naive %.3fs, serve %.3fs, speedup %.2fx\n",
                  naive_seconds, run.seconds, speedup);
     return rec.finish(out_path);

@@ -19,7 +19,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
     int repeats = 3;
     bool check = false;
     std::string out_path;
-    bench::Flags("bench_simd_speedup")
+    cuzc::io::Flags("bench_simd_speedup")
         .list("--scales", scales)
         .num("--repeats", repeats, 1)
         .text("--out", out_path)
@@ -134,15 +133,13 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::ostringstream rows;
-    rows << "[\n";
+    cuzc::io::Json::Array rows;
     // Aggregate speedups as the geometric mean of the per-dataset ratios —
     // the standard cross-benchmark aggregate; a ratio of summed times would
     // let the single largest dataset dominate the figure.
     double p1_log = 0, all_log = 0;
     std::size_t p1_n = 0, all_n = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const Sample& s = samples[i];
+    for (const Sample& s : samples) {
         const double speedup = s.simd_seconds > 0 ? s.scalar_seconds / s.simd_seconds : 0;
         if (speedup > 0) {
             all_log += std::log(speedup);
@@ -152,21 +149,19 @@ int main(int argc, char** argv) {
                 ++p1_n;
             }
         }
-        rows << "    {\"dataset\":\"" << s.dataset << "\",\"scale\":" << s.scale
-             << ",\"kernel\":\"" << s.kernel << "\",\"scalar_seconds\":" << s.scalar_seconds
-             << ",\"simd_seconds\":" << s.simd_seconds << ",\"speedup\":" << speedup
-             << ",\"stats\":" << bench::stats_json(s.stats) << "}"
-             << (i + 1 < samples.size() ? "," : "") << "\n";
+        rows.emplace_back(cuzc::io::Json::Object{
+            {"dataset", s.dataset}, {"scale", s.scale}, {"kernel", s.kernel},
+            {"scalar_seconds", s.scalar_seconds}, {"simd_seconds", s.simd_seconds},
+            {"speedup", speedup}, {"stats", bench::stats_json(s.stats)}});
     }
-    rows << "  ]";
     const double p1_speedup = p1_n > 0 ? std::exp(p1_log / static_cast<double>(p1_n)) : 0;
     const double total_speedup = all_n > 0 ? std::exp(all_log / static_cast<double>(all_n)) : 0;
 
     bench::Record rec("bench_simd_speedup");
-    rec.str("backend", simd::backend_name(best))
-        .raw("results", rows.str())
-        .num("pattern1_speedup", p1_speedup)
-        .num("total_speedup", total_speedup);
+    rec.set("backend", simd::backend_name(best))
+        .set("results", std::move(rows))
+        .set("pattern1_speedup", p1_speedup)
+        .set("total_speedup", total_speedup);
     rec.check("reports_identical_to_scalar", identical_reports, bench::Op::kEqual, samples.size());
     rec.check("counters_identical_to_scalar", identical_counters, bench::Op::kEqual,
               samples.size());

@@ -13,7 +13,6 @@
 // Thread count of the block scheduler comes from CUZC_VGPU_THREADS.
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
     std::string out_path;
     // A --scales typo must not silently select scale 1 (the full-size
     // 141M-element fields — a multi-minute run).
-    bench::Flags("bench_vgpu_wallclock")
+    cuzc::io::Flags("bench_vgpu_wallclock")
         .list("--scales", scales)
         .num("--repeats", repeats, 1)
         .text("--out", out_path)
@@ -80,27 +79,23 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::ostringstream rows;
-    rows << "[\n";
+    cuzc::io::Json::Array rows;
     double total_blocks = 0, total_seconds = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const Sample& s = samples[i];
+    for (const Sample& s : samples) {
         const auto blocks = static_cast<double>(s.stats.blocks);
         total_blocks += blocks;
         total_seconds += s.seconds;
-        rows << "    {\"dataset\":\"" << s.dataset << "\",\"scale\":" << s.scale
-             << ",\"kernel\":\"" << s.kernel << "\",\"seconds\":" << s.seconds
-             << ",\"blocks_per_sec\":" << (s.seconds > 0 ? blocks / s.seconds : 0)
-             << ",\"stats\":" << bench::stats_json(s.stats) << "}"
-             << (i + 1 < samples.size() ? "," : "") << "\n";
+        rows.emplace_back(cuzc::io::Json::Object{
+            {"dataset", s.dataset}, {"scale", s.scale}, {"kernel", s.kernel},
+            {"seconds", s.seconds}, {"blocks_per_sec", s.seconds > 0 ? blocks / s.seconds : 0},
+            {"stats", bench::stats_json(s.stats)}});
     }
-    rows << "  ]";
 
     const char* env_threads = std::getenv("CUZC_VGPU_THREADS");
     bench::Record rec("bench_vgpu_wallclock");
-    rec.str("threads", env_threads ? env_threads : "default")
-        .raw("results", rows.str())
-        .num("total_seconds", total_seconds)
-        .num("total_blocks_per_sec", total_seconds > 0 ? total_blocks / total_seconds : 0);
+    rec.set("threads", env_threads ? env_threads : "default")
+        .set("results", std::move(rows))
+        .set("total_seconds", total_seconds)
+        .set("total_blocks_per_sec", total_seconds > 0 ? total_blocks / total_seconds : 0);
     return rec.finish(out_path);
 }

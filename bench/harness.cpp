@@ -11,174 +11,75 @@
 #include <sstream>
 #include <thread>
 
-#include "io/report_writer.hpp"
 #include "sz/sz.hpp"
 #include "vgpu/simd.hpp"
 
 namespace cuzc::bench {
 
-using io::json_string;
-
-Flags& Flags::add(std::string_view name, bool takes_value,
-                  std::function<bool(std::string_view)> set) {
-    specs_.push_back(Spec{std::string(name), takes_value, std::move(set)});
-    return *this;
-}
-
-Flags& Flags::flag(std::string_view name, bool& out) {
-    return add(name, false, [&out](std::string_view) { return out = true; });
-}
-
-Flags& Flags::text(std::string_view name, std::string& out) {
-    return add(name, true, [&out](std::string_view v) { out = v; return true; });
-}
-
-Flags& Flags::list(std::string_view name, std::vector<unsigned>& out) {
-    return add(name, true, [&out](std::string_view v) {
-        std::vector<unsigned> parsed;
-        for (;;) {
-            const std::size_t comma = v.find(',');
-            if (!io::parse_num(v.substr(0, comma), parsed.emplace_back()) || parsed.back() < 1) {
-                return false;
-            }
-            if (comma == std::string_view::npos) break;
-            v.remove_prefix(comma + 1);
-        }
-        out = std::move(parsed);
-        return true;
-    });
-}
-
-Flags& Flags::dims(std::string_view name, zc::Dims3& out) {
-    return add(name, true, [&out](std::string_view v) { return io::parse_dims(v, out); });
-}
-
-Flags& Flags::from_env(const char* var) {
-    specs_.back().env = var;
-    return *this;
-}
-
-std::string Flags::parse(int argc, const char* const* argv) const {
-    for (const Spec& spec : specs_) {
-        const char* env = spec.env != nullptr ? std::getenv(spec.env) : nullptr;
-        if (env != nullptr && !spec.set(env)) {
-            return "bad " + std::string(spec.env) + " value '" + env + "'";
-        }
-    }
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const std::size_t eq = arg.find('=');
-        const auto spec = std::find_if(specs_.begin(), specs_.end(), [&](const Spec& s) {
-            return s.name == arg.substr(0, eq);
-        });
-        if (spec == specs_.end()) return "unknown argument '" + std::string(arg) + "'";
-        if (spec->takes_value != (eq != std::string_view::npos) ||
-            !spec->set(eq == std::string_view::npos ? std::string_view{} : arg.substr(eq + 1))) {
-            return "bad " + spec->name + " in '" + std::string(arg) + "'";
-        }
-    }
-    return {};
-}
-
-void Flags::parse_or_exit(int argc, const char* const* argv) const {
-    if (const std::string err = parse(argc, argv); !err.empty()) {
-        std::fprintf(stderr, "%s: %s\n", bench_.c_str(), err.c_str());
-        std::exit(2);
-    }
-}
-
-namespace {
-
-/// Integral values exactly, others in the stream's default format, and
-/// `null` for a value JSON cannot hold.
-std::string json_number(double v) {
-    if (!std::isfinite(v)) return "null";
-    if (v == std::floor(v) && std::fabs(v) < 0x1p53) {
-        return std::to_string(static_cast<long long>(v));
-    }
-    std::ostringstream os;
-    os << v;
-    return os.str();
-}
-
-}  // namespace
-
-bool Gates::check(std::string_view name, double value, Op op, double threshold, bool enforced) {
-    const bool holds = op == Op::kAtLeast  ? value >= threshold
-                       : op == Op::kAtMost ? value <= threshold
-                                           : value == threshold;
+void Gates::record(std::string_view name, io::Json value, Op op, io::Json threshold, bool holds,
+                   bool enforced) {
     const char* op_text = op == Op::kAtLeast ? ">=" : op == Op::kAtMost ? "<=" : "==";
-    const char* outcome = !enforced ? "skip" : holds ? "pass" : "fail";
-    gates_json_ += std::string(gates_json_.empty() ? "" : ",") + "\n    {\"name\": " +
-                   json_string(name) + ", \"value\": " + json_number(value) + ", \"op\": \"" +
-                   op_text + "\", \"threshold\": " + json_number(threshold) +
-                   ", \"outcome\": \"" + outcome + "\"}";
     if (enforced && !holds) {
         failed_ = true;
-        std::fprintf(stderr, "%s: FAIL %.*s: %s %s %s does not hold\n", bench_.c_str(),
-                     static_cast<int>(name.size()), name.data(), json_number(value).c_str(),
-                     op_text, json_number(threshold).c_str());
+        std::ostringstream msg;
+        msg << bench_ << ": FAIL " << name << ": " << value << ' ' << op_text << ' ' << threshold
+            << " does not hold\n";
+        std::fputs(msg.str().c_str(), stderr);
     }
-    return holds;
+    const char* outcome = !enforced ? "skip" : holds ? "pass" : "fail";
+    gates_.emplace_back(io::Json::Object{{"name", name},
+                                         {"value", std::move(value)},
+                                         {"op", op_text},
+                                         {"threshold", std::move(threshold)},
+                                         {"outcome", outcome}});
 }
 
-Record& Record::num(std::string_view key, double v) { return raw(key, json_number(v)); }
-
-Record& Record::str(std::string_view key, std::string_view v) {
-    return raw(key, json_string(v));
-}
-
-Record& Record::raw(std::string_view key, std::string json) {
-    keys_ += "  " + json_string(key) + ": " + json + ",\n";
+Record& Record::set(std::string key, io::Json value) {
+    keys_.emplace_back(std::move(key), std::move(value));
     return *this;
 }
 
-std::string Record::json() const {
+io::Json Record::json() const {
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
-    return "{\n  \"schema\": \"cuzc-bench-v1\",\n  \"bench\": " + json_string(bench_) +
-           ",\n  \"simd\": " + json_string(vgpu::simd::banner()) + ",\n  \"block_workers\": " +
-           std::to_string(vgpu::BlockScheduler::instance().max_workers()) +
-           ",\n  \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
-           ",\n  \"peak_rss_kib\": " + std::to_string(ru.ru_maxrss) + ",\n" + keys_ +
-           "  \"gates\": [" + gates_json_ + "\n  ]\n}\n";
+    io::Json::Object doc{{"schema", "cuzc-bench-v1"},
+                         {"bench", bench_},
+                         {"simd", vgpu::simd::banner()},
+                         {"block_workers", vgpu::BlockScheduler::instance().max_workers()},
+                         {"nproc", std::thread::hardware_concurrency()},
+                         {"peak_rss_kib", ru.ru_maxrss}};
+    doc.insert(doc.end(), keys_.begin(), keys_.end());
+    doc.emplace_back("gates", gates_);
+    return doc;
 }
 
 int Record::finish(const std::string& out_path) const {
-    const std::string doc = json();
-    std::fputs(doc.c_str(), stdout);
-    if (!out_path.empty() && !(std::ofstream(out_path) << doc)) {
+    std::ostringstream doc;
+    doc << json() << '\n';
+    std::fputs(doc.str().c_str(), stdout);
+    if (!out_path.empty() && !(std::ofstream(out_path) << doc.str())) {
         std::fprintf(stderr, "%s: cannot write '%s'\n", bench_.c_str(), out_path.c_str());
         return 1;
     }
     return status();
 }
 
-std::string stats_json(const vgpu::KernelStats& s) {
-    std::ostringstream os;
-    os << "{\"blocks\":" << s.blocks << ",\"threads_per_block\":" << s.threads_per_block
-       << ",\"regs_per_thread\":" << s.regs_per_thread
-       << ",\"smem_per_block\":" << s.smem_per_block
-       << ",\"global_bytes_read\":" << s.global_bytes_read
-       << ",\"global_bytes_written\":" << s.global_bytes_written
-       << ",\"shared_bytes_read\":" << s.shared_bytes_read
-       << ",\"shared_bytes_written\":" << s.shared_bytes_written
-       << ",\"shuffle_ops\":" << s.shuffle_ops << ",\"thread_iters\":" << s.thread_iters
-       << ",\"lane_ops\":" << s.lane_ops << "}";
-    return os.str();
+io::Json stats_json(const vgpu::KernelStats& s) {
+    return io::Json::Object{{"blocks", s.blocks},
+                            {"threads_per_block", s.threads_per_block},
+                            {"regs_per_thread", s.regs_per_thread},
+                            {"smem_per_block", s.smem_per_block},
+                            {"global_bytes_read", s.global_bytes_read},
+                            {"global_bytes_written", s.global_bytes_written},
+                            {"shared_bytes_read", s.shared_bytes_read},
+                            {"shared_bytes_written", s.shared_bytes_written},
+                            {"shuffle_ops", s.shuffle_ops},
+                            {"thread_iters", s.thread_iters},
+                            {"lane_ops", s.lane_ops}};
 }
 
 bool reports_identical(const zc::AssessmentReport& a, const zc::AssessmentReport& b) {
     return net::encode_report(a) == net::encode_report(b);
-}
-
-bool ledger_reconciles(const serve::NetTelemetry& t) {
-    return t.requests_accepted == t.requests_completed + t.requests_failed + t.requests_in_flight;
-}
-
-bool ledger_reconciles(const serve::ServiceTelemetry& t) {
-    return t.queued == t.served + t.rejected + t.queue_depth + t.inflight &&
-           t.served == t.cache_hits + t.cache_misses && t.latency.count == t.served + t.rejected;
 }
 
 namespace {
@@ -225,14 +126,14 @@ Replay replay(net::NetClient& client, const std::vector<serve::AssessRequest>& r
     return out;
 }
 
-void BenchConfig::declare(Flags& flags) {
+void BenchConfig::declare(io::Flags& flags) {
     flags.num("--scale", scale, 1u).from_env("CUZC_BENCH_SCALE");
 }
 
 BenchConfig BenchConfig::from_args(int argc, const char* const* argv) {
     BenchConfig cfg;
     const std::string_view path = argc > 0 ? argv[0] : "bench";
-    Flags flags(std::string(path.substr(path.find_last_of('/') + 1)));
+    io::Flags flags(std::string(path.substr(path.find_last_of('/') + 1)));
     cfg.declare(flags);
     flags.parse_or_exit(argc, argv);
     return cfg;

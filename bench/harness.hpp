@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "cuzc/cuzc.hpp"
 #include "data/datasets.hpp"
-#include "io/strict_parse.hpp"
+#include "io/flags.hpp"
+#include "io/json.hpp"
 #include "mozc/mozc.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
@@ -18,51 +19,6 @@
 namespace cuzc::bench {
 
 // --- What the CI gate benches share ---------------------------------------
-
-/// One bench's command line: each flag declared once with the variable it
-/// sets. Exactly the declared flags are accepted, and every number goes
-/// through io::parse_num, so `--requests=12x`, an empty or overflowing
-/// value and a misspelled flag are errors, never a silent 12 or a no-op.
-class Flags {
-public:
-    explicit Flags(std::string bench) : bench_(std::move(bench)) {}
-
-    Flags& flag(std::string_view name, bool& out);         ///< `--NAME`
-    Flags& text(std::string_view name, std::string& out);  ///< `--NAME=TEXT`, may be empty
-    template <class T>
-    Flags& num(std::string_view name, T& out, T min);  ///< `--NAME=N`, N >= min
-    Flags& list(std::string_view name, std::vector<unsigned>& out);  ///< `--NAME=8,4`
-    Flags& dims(std::string_view name, zc::Dims3& out);              ///< `--NAME=HxWxL`
-    /// The flag declared last also reads environment variable `var` first.
-    Flags& from_env(const char* var);
-
-    /// The first error, or "" when the environment and `argv` parsed.
-    [[nodiscard]] std::string parse(int argc, const char* const* argv) const;
-    /// `parse`, or print "<bench>: <error>" and exit with status 2.
-    void parse_or_exit(int argc, const char* const* argv) const;
-
-private:
-    struct Spec {
-        std::string name;
-        bool takes_value = true;
-        std::function<bool(std::string_view)> set;
-        const char* env = nullptr;
-    };
-    Flags& add(std::string_view name, bool takes_value, std::function<bool(std::string_view)> set);
-
-    std::string bench_;
-    std::vector<Spec> specs_;
-};
-
-template <class T>
-Flags& Flags::num(std::string_view name, T& out, T min) {
-    return add(name, true, [&out, min](std::string_view v) {
-        T parsed{};
-        if (!io::parse_num(v, parsed) || parsed < min) return false;
-        out = parsed;
-        return true;
-    });
-}
 
 enum class Op { kAtLeast, kAtMost, kEqual };
 
@@ -74,15 +30,35 @@ public:
 
     /// Record a gate; returns whether it holds. A gate that is not
     /// `enforced` (a floor only --check applies) is recorded as "skip".
-    bool check(std::string_view name, double value, Op op, double threshold,
-               bool enforced = true);
+    /// Integer values and thresholds are recorded exactly, and a bool as
+    /// 0 or 1.
+    template <class V, class T>
+    bool check(std::string_view name, V value, Op op, T threshold, bool enforced = true) {
+        const auto v = static_cast<double>(value);
+        const auto t = static_cast<double>(threshold);
+        const bool holds = op == Op::kAtLeast ? v >= t : op == Op::kAtMost ? v <= t : v == t;
+        record(name, gate_number(value), op, gate_number(threshold), holds, enforced);
+        return holds;
+    }
     /// The exit status: 1 when an enforced gate failed, else 0.
     [[nodiscard]] int status() const { return failed_ ? 1 : 0; }
 
 protected:
     std::string bench_;
-    std::string gates_json_;
+    io::Json::Array gates_;
     bool failed_ = false;
+
+private:
+    template <class X>
+    static io::Json gate_number(X x) {
+        if constexpr (std::is_same_v<X, bool>) {
+            return io::Json(int{x});
+        } else {
+            return io::Json(x);
+        }
+    }
+    void record(std::string_view name, io::Json value, Op op, io::Json threshold, bool holds,
+                bool enforced);
 };
 
 /// The `cuzc-bench-v1` record: an envelope (schema, bench, SIMD banner,
@@ -92,34 +68,26 @@ class Record : public Gates {
 public:
     using Gates::Gates;
 
-    Record& num(std::string_view key, double v);  ///< integral values are written exactly
-    Record& str(std::string_view key, std::string_view v);
-    Record& raw(std::string_view key, std::string json);  ///< a rendered object or array
+    /// Append key `key` to the record.
+    Record& set(std::string key, io::Json value);
 
-    [[nodiscard]] std::string json() const;
+    [[nodiscard]] io::Json json() const;
     /// Print the record, write it to `out_path` unless empty, and return the
     /// exit status (1 also when the file cannot be written).
     [[nodiscard]] int finish(const std::string& out_path) const;
 
 private:
-    std::string keys_;
+    io::Json::Object keys_;
 };
 
 /// A kernel's profiler counters as one `results[].stats` object.
-[[nodiscard]] std::string stats_json(const vgpu::KernelStats& s);
+[[nodiscard]] io::Json stats_json(const vgpu::KernelStats& s);
 
 /// Byte equality of the reports' wire encodings (`net::encode_report`):
 /// every field, the sign of zero and NaN payloads included — the same
 /// bit-identity the wire, the bench suite and the fuzz targets use.
 [[nodiscard]] bool reports_identical(const zc::AssessmentReport& a,
                                      const zc::AssessmentReport& b);
-
-/// The server's request ledger balances: accepted == completed + failed +
-/// in flight.
-[[nodiscard]] bool ledger_reconciles(const serve::NetTelemetry& t);
-/// The service's counters balance once every submitted request resolved
-/// (see ServiceTelemetry).
-[[nodiscard]] bool ledger_reconciles(const serve::ServiceTelemetry& t);
 
 /// A NetServer on 127.0.0.1 with one connected NetClient.
 class Loopback {
@@ -170,7 +138,7 @@ struct BenchConfig {
     /// Declare --scale=N (default from CUZC_BENCH_SCALE) on `flags`. A
     /// typo, an empty value, zero or a negative number is an error: scale
     /// 1 is a multi-minute full-size run and is only taken when asked for.
-    void declare(Flags& flags);
+    void declare(io::Flags& flags);
     /// The paper benches' command line, --scale only; exits with status 2
     /// on a bad value or an unknown flag.
     static BenchConfig from_args(int argc, const char* const* argv);

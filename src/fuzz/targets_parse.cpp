@@ -14,6 +14,7 @@
 #include "fuzz/rng.hpp"
 #include "io/config.hpp"
 #include "serve/trace.hpp"
+#include "zc/metrics_config.hpp"
 
 namespace cuzc::fuzz {
 namespace {
@@ -131,8 +132,18 @@ void trace_corpus(CorpusWriter& w) {
 // --- config-parse -------------------------------------------------------
 
 const char* const kSections[] = {"metrics", "io", "serve"};
-const char* const kIntKeys[] = {"pdf_bins", "autocorr_max_lag", "deriv_orders",
-                                "ssim_window", "ssim_step"};
+/// The [metrics] integer keys, each with the range zc::validate accepts.
+struct IntKey {
+    const char* name;
+    int min, max;
+};
+const IntKey kIntKeys[] = {
+    {"pdf_bins", 1, zc::kMaxPdfBins},
+    {"autocorr_max_lag", 0, zc::kMaxAutocorrLag},
+    {"deriv_orders", 1, zc::kMaxDerivOrders},
+    {"ssim_window", 1, zc::kMaxSsimExtent},
+    {"ssim_step", 1, zc::kMaxSsimExtent},
+};
 
 std::string random_config_text(Rng& rng) {
     std::ostringstream os;
@@ -142,7 +153,10 @@ std::string random_config_text(Rng& rng) {
         const std::uint64_t keys = rng.range(1, 5);
         for (std::uint64_t k = 0; k < keys; ++k) {
             if (rng.chance(0.2)) os << "# comment line " << rng.below(100) << "\n";
-            os << kIntKeys[rng.below(std::size(kIntKeys))] << " = " << rng.range(1, 512)
+            const IntKey& key = kIntKeys[rng.below(std::size(kIntKeys))];
+            os << key.name << " = "
+               << rng.range(static_cast<std::uint64_t>(key.min),
+                            static_cast<std::uint64_t>(key.max))
                << "\n";
         }
         if (rng.chance(0.3)) os << "pwr_eps = 0." << rng.range(0, 999) << "\n";
@@ -172,7 +186,7 @@ void config_iterate(std::uint64_t seed, std::uint64_t iter) {
 
     // A typed getter must reject a lax numeric value and name the key.
     {
-        const char* key = kIntKeys[rng.below(std::size(kIntKeys))];
+        const char* key = kIntKeys[rng.below(std::size(kIntKeys))].name;
         std::string bad = bad_number(rng);
         // The INI grammar trims whitespace around values before the typed
         // getter sees them, so padded tokens are legitimately accepted
@@ -217,6 +231,15 @@ void config_corpus(CorpusWriter& w) {
                "[metrics]\npwr_eps = 0.5x\n");
     w.add_text("empty-key.txt", Oracle::kReject,
                "[metrics]\n = 5\n");
+    // Values outside zc::validate's limits, which the loader used to pass
+    // on (a 1-bin PDF, SSIM 0, an empty autocorrelation).
+    w.add_text("pdf-bins-zero.txt", Oracle::kReject, "[metrics]\npdf_bins = 0\n");
+    w.add_text("pdf-bins-negative.txt", Oracle::kReject, "[metrics]\npdf_bins = -5\n");
+    w.add_text("ssim-window-zero.txt", Oracle::kReject, "[metrics]\nssim_window = 0\n");
+    w.add_text("ssim-step-zero.txt", Oracle::kReject, "[metrics]\nssim_step = 0\n");
+    w.add_text("autocorr-lag-negative.txt", Oracle::kReject,
+               "[metrics]\nautocorr_max_lag = -3\n");
+    w.add_text("deriv-orders-zero.txt", Oracle::kReject, "[metrics]\nderiv_orders = 0\n");
 }
 
 }  // namespace

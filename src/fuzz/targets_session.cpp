@@ -22,6 +22,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "fuzz/fuzz.hpp"
 #include "fuzz/mutate.hpp"
 #include "fuzz/rng.hpp"
+#include "io/json.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "serve/request.hpp"
@@ -231,22 +233,10 @@ void run_session_script(std::span<const std::uint8_t> script) {
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    if (t.requests_accepted != t.requests_completed + t.requests_failed) {
-        fail("request ledger does not reconcile: accepted=" +
-             std::to_string(t.requests_accepted) + " completed=" +
-             std::to_string(t.requests_completed) + " failed=" +
-             std::to_string(t.requests_failed));
-    }
-    if (t.connections_accepted != t.connections_active + t.connections_closed) {
-        fail("connection ledger does not reconcile: accepted=" +
-             std::to_string(t.connections_accepted) + " active=" +
-             std::to_string(t.connections_active) + " closed=" +
-             std::to_string(t.connections_closed));
-    }
-    if (t.streams_opened < t.streams_aborted) {
-        fail("more streams aborted than opened: opened=" +
-             std::to_string(t.streams_opened) + " aborted=" +
-             std::to_string(t.streams_aborted));
+    if (!t.reconciles()) {
+        std::ostringstream ledger;
+        ledger << t.json();
+        fail("server telemetry does not reconcile: " + ledger.str());
     }
     // ~NetServer drains and joins the loop thread.
 }

@@ -128,6 +128,9 @@ zc::MetricsConfig metrics_from_config(const Config& cfg) {
     m.ssim_window = cfg.get_int("metrics", "ssim_window", m.ssim_window);
     m.ssim_step = cfg.get_int("metrics", "ssim_step", m.ssim_step);
     m.pwr_eps = cfg.get_double("metrics", "pwr_eps", m.pwr_eps);
+    if (const std::string err = zc::validate(m); !err.empty()) {
+        throw std::runtime_error("config: [metrics] " + err);
+    }
     return m;
 }
 

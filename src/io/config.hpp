@@ -35,7 +35,9 @@ private:
 };
 
 /// Build a MetricsConfig from the [metrics] section of a config file,
-/// with the paper's evaluation parameters as defaults.
+/// with the paper's evaluation parameters as defaults. Throws
+/// std::runtime_error naming the key when a value is outside
+/// zc::validate's limits.
 [[nodiscard]] zc::MetricsConfig metrics_from_config(const Config& cfg);
 
 }  // namespace cuzc::io

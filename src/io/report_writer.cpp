@@ -1,9 +1,10 @@
 #include "report_writer.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
+
+#include "json.hpp"
 
 namespace cuzc::io {
 
@@ -55,7 +56,8 @@ void for_each_scalar(const zc::AssessmentReport& r, Fn&& fn) {
     fn(NamedValue{"ssim", r.ssim.ssim});
 }
 
-/// JSON has no Inf/NaN literals; clamp to very large sentinels.
+/// The report's rule for values JSON cannot hold, applied before writing:
+/// NaN reads 0 and +-inf reads +-1e308.
 double json_safe(double v) {
     if (std::isnan(v)) return 0.0;
     if (std::isinf(v)) return v > 0 ? 1e308 : -1e308;
@@ -91,38 +93,18 @@ void write_csv(std::ostream& os, const zc::AssessmentReport& r) {
 }
 
 void write_json(std::ostream& os, const zc::AssessmentReport& r) {
-    os << std::setprecision(12) << "{\n";
-    for_each_scalar(r, [&](const NamedValue& nv) {
-        os << "  \"" << nv.name << "\": " << json_safe(nv.value) << ",\n";
-    });
-    os << "  \"autocorr\": [";
-    for (std::size_t i = 0; i < r.stencil.autocorr.size(); ++i) {
-        os << (i ? ", " : "") << json_safe(r.stencil.autocorr[i]);
-    }
-    os << "],\n  \"err_pdf_bins\": " << r.reduction.err_pdf.size() << "\n}\n";
+    Json doc = Json::Object{};
+    for_each_scalar(r, [&](const NamedValue& nv) { doc.set(nv.name, json_safe(nv.value)); });
+    Json::Array autocorr;
+    for (const double v : r.stencil.autocorr) autocorr.emplace_back(json_safe(v));
+    doc.set("autocorr", std::move(autocorr)).set("err_pdf_bins", r.reduction.err_pdf.size());
+    os << std::setprecision(12) << doc << '\n';
 }
 
 std::string to_text(const zc::AssessmentReport& r) {
     std::ostringstream ss;
     write_text(ss, r);
     return ss.str();
-}
-
-std::string json_string(std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
-            out += esc;
-        } else {
-            out += c;
-        }
-    }
-    return out + '"';
 }
 
 std::string to_json(const zc::AssessmentReport& r) {

@@ -2,7 +2,6 @@
 
 #include <ostream>
 #include <string>
-#include <string_view>
 
 #include "zc/report.hpp"
 
@@ -16,9 +15,5 @@ void write_json(std::ostream& os, const zc::AssessmentReport& report);
 
 [[nodiscard]] std::string to_text(const zc::AssessmentReport& report);
 [[nodiscard]] std::string to_json(const zc::AssessmentReport& report);
-
-/// `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped.
-[[nodiscard]] std::string json_string(std::string_view s);
 
 }  // namespace cuzc::io

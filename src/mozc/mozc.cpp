@@ -253,25 +253,30 @@ MozcResult assess(vgpu::Device& dev, const zc::Tensor3f& orig, const zc::Tensor3
 
         const int bins = std::max(1, cfg.pdf_bins);
         auto& red = result.report.reduction;
-        red.err_pdf = histogram_launch(dev, "mozc/err_pdf", d_orig, d_dec, n, bins, m.min_err,
-                                       m.max_err, 0, eps);
-        red.pwr_err_pdf = histogram_launch(dev, "mozc/pwr_err_pdf", d_orig, d_dec, n, bins,
-                                           m.min_pwr, m.max_pwr, 1, eps);
-        const std::vector<double> val_hist = histogram_launch(
-            dev, "mozc/entropy", d_orig, d_dec, n, bins, m.min_val, m.max_val, 2, eps);
-        red.err_pdf_min = m.min_err;
-        red.err_pdf_max = m.max_err;
-        red.pwr_err_pdf_min = m.min_pwr;
-        red.pwr_err_pdf_max = m.max_pwr;
-        const double inv_n = 1.0 / static_cast<double>(n);
-        double entropy = 0.0;
-        for (int b = 0; b < bins; ++b) {
-            red.err_pdf[static_cast<std::size_t>(b)] *= inv_n;
-            red.pwr_err_pdf[static_cast<std::size_t>(b)] *= inv_n;
-            const double pv = val_hist[static_cast<std::size_t>(b)] * inv_n;
-            if (pv > 0) entropy -= pv * std::log2(pv);
+        // Each histogram kernel keeps `bins` block-local counts in shared
+        // memory. When they do not fit, the PDFs are left out as in cuZC's
+        // pattern 1: empty PDFs, entropy 0, the reductions unchanged.
+        if (sizeof(double) * static_cast<std::uint64_t>(bins) <= dev.props().smem_per_block) {
+            red.err_pdf = histogram_launch(dev, "mozc/err_pdf", d_orig, d_dec, n, bins,
+                                           m.min_err, m.max_err, 0, eps);
+            red.pwr_err_pdf = histogram_launch(dev, "mozc/pwr_err_pdf", d_orig, d_dec, n, bins,
+                                               m.min_pwr, m.max_pwr, 1, eps);
+            const std::vector<double> val_hist = histogram_launch(
+                dev, "mozc/entropy", d_orig, d_dec, n, bins, m.min_val, m.max_val, 2, eps);
+            red.err_pdf_min = m.min_err;
+            red.err_pdf_max = m.max_err;
+            red.pwr_err_pdf_min = m.min_pwr;
+            red.pwr_err_pdf_max = m.max_pwr;
+            const double inv_n = 1.0 / static_cast<double>(n);
+            double entropy = 0.0;
+            for (int b = 0; b < bins; ++b) {
+                red.err_pdf[static_cast<std::size_t>(b)] *= inv_n;
+                red.pwr_err_pdf[static_cast<std::size_t>(b)] *= inv_n;
+                const double pv = val_hist[static_cast<std::size_t>(b)] * inv_n;
+                if (pv > 0) entropy -= pv * std::log2(pv);
+            }
+            red.entropy = entropy;
         }
-        red.entropy = entropy;
         result.pattern1 = merge_since(dev.profiler(), from, "mozc/pattern1");
     }
 

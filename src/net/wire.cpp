@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 namespace cuzc::net {
@@ -34,17 +33,6 @@ template <class T>
 /// than the bytes actually present.
 constexpr std::uint64_t kMaxExtent = 1ull << 20;  ///< per-axis field extent
 
-/// Caps on the decoded MetricsConfig knobs that drive allocations or
-/// kernel trip counts. Without them a 37-byte StreamBegin declaring
-/// pdf_bins = 2^31-1 walks straight into the StreamingAssessor
-/// constructor, whose histogram allocation then throws bad_alloc out of
-/// the server's event loop — a remote one-frame kill. The bounds mirror
-/// the trace parser's so local and remote replays accept the same inputs.
-constexpr std::int32_t kMaxBins = 1 << 20;
-constexpr std::int32_t kMaxLag = 1 << 20;
-constexpr std::int32_t kMaxDerivOrders = 8;
-constexpr std::int32_t kMaxSsim = 1 << 20;
-
 void encode_cfg(Writer& w, const zc::MetricsConfig& cfg) {
     w.u8(cfg.pattern1);
     w.u8(cfg.pattern2);
@@ -73,23 +61,14 @@ void encode_cfg(Writer& w, const zc::MetricsConfig& cfg) {
 
 /// Request-direction config validation (decode_request_view / decode_stream_begin):
 /// the server must reject a hostile config at the framing layer, before any
-/// assessor or kernel sees it. Responses echo a config the server already
-/// validated, so the response decoder leaves it alone.
+/// assessor or kernel sees it. Without it a 37-byte StreamBegin declaring
+/// pdf_bins = 2^31-1 walks straight into the StreamingAssessor constructor,
+/// whose histogram allocation then throws bad_alloc out of the server's
+/// event loop. Responses echo a config the server already validated, so the
+/// response decoder leaves it alone.
 void validate_cfg(const zc::MetricsConfig& cfg, const char* where) {
-    const auto fail = [where](const char* what) {
-        throw WireError(std::string(where) + ": " + what);
-    };
-    if (cfg.pdf_bins < 1 || cfg.pdf_bins > kMaxBins) fail("pdf_bins out of range");
-    if (cfg.autocorr_max_lag < 0 || cfg.autocorr_max_lag > kMaxLag) {
-        fail("autocorr_max_lag out of range");
-    }
-    if (cfg.deriv_orders < 1 || cfg.deriv_orders > kMaxDerivOrders) {
-        fail("deriv_orders out of range");
-    }
-    if (cfg.ssim_window < 1 || cfg.ssim_window > kMaxSsim) fail("ssim_window out of range");
-    if (cfg.ssim_step < 1 || cfg.ssim_step > kMaxSsim) fail("ssim_step out of range");
-    if (!(cfg.pwr_eps >= 0) || !std::isfinite(cfg.pwr_eps)) {
-        fail("pwr_eps must be finite and >= 0");
+    if (const std::string err = zc::validate(cfg); !err.empty()) {
+        throw WireError(std::string(where) + ": " + err);
     }
 }
 

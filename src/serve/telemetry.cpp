@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
-#include <string>
+
+#include "io/json.hpp"
 
 namespace cuzc::serve {
 
@@ -26,94 +26,63 @@ double LatencyHistogram::bucket_le_us(std::size_t i) noexcept {
 
 namespace {
 
-void write_data_plane_json(std::ostream& os, const zc::DataPlaneStats& dp,
-                           const std::string& in1, const std::string& in2) {
-    os << in1 << "\"data_plane\": {\n";
-    os << in2 << "\"bytes_copied\": " << dp.bytes_copied << ",\n";
-    os << in2 << "\"slab_allocs\": " << dp.slab_allocs << ",\n";
-    os << in2 << "\"slab_reuses\": " << dp.slab_reuses << ",\n";
-    os << in2 << "\"adoptions\": " << dp.adoptions << ",\n";
-    os << in2 << "\"pool_high_water_bytes\": " << dp.pool_high_water_bytes << "\n";
-    os << in1 << "}";
+io::Json data_plane_json(const zc::DataPlaneStats& dp) {
+    return io::Json::Object{{"bytes_copied", dp.bytes_copied}, {"slab_allocs", dp.slab_allocs},
+                            {"slab_reuses", dp.slab_reuses}, {"adoptions", dp.adoptions},
+                            {"pool_high_water_bytes", dp.pool_high_water_bytes}};
 }
 
 }  // namespace
 
-void ServiceTelemetry::write_json(std::ostream& os, int indent) const {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    const std::string in1 = pad + "  ";
-    const std::string in2 = pad + "    ";
-    os << "{\n";
-    os << in1 << "\"schema\": \"cuzc-serve-telemetry-v2\",\n";
-    os << in1 << "\"queued\": " << queued << ",\n";
-    os << in1 << "\"served\": " << served << ",\n";
-    os << in1 << "\"cache_hits\": " << cache_hits << ",\n";
-    os << in1 << "\"cache_misses\": " << cache_misses << ",\n";
-    os << in1 << "\"shed\": " << shed << ",\n";
-    os << in1 << "\"rejected\": " << rejected << ",\n";
-    os << in1 << "\"batches\": " << batches << ",\n";
-    os << in1 << "\"coalesced\": " << coalesced << ",\n";
-    os << in1 << "\"uploads\": " << uploads << ",\n";
-    os << in1 << "\"buffer_allocs\": " << buffer_allocs << ",\n";
-    os << in1 << "\"max_queue_depth\": " << max_queue_depth << ",\n";
-    os << in1 << "\"cache_evictions\": " << cache_evictions << ",\n";
-    os << in1 << "\"cache_size\": " << cache_size << ",\n";
-    os << in1 << "\"shards\": " << shards << ",\n";
-    os << in1 << "\"exchange_bytes\": " << exchange_bytes << ",\n";
-    os << in1 << "\"shard_retries\": " << shard_retries << ",\n";
-    os << in1 << "\"faults_injected\": " << faults_injected << ",\n";
-    os << in1 << "\"retries\": " << retries << ",\n";
-    os << in1 << "\"timeouts\": " << timeouts << ",\n";
-    os << in1 << "\"breaker_opens\": " << breaker_opens << ",\n";
-    os << in1 << "\"breaker_open\": " << breaker_open << ",\n";
-    os << in1 << "\"queue_depth\": " << queue_depth << ",\n";
-    os << in1 << "\"inflight\": " << inflight << ",\n";
-    os << in1 << "\"modeled_backlog_s\": " << modeled_backlog_s << ",\n";
-    os << in1 << "\"spans_s\": {\"queue\": " << queue_s << ", \"upload\": " << upload_s
-       << ", \"kernel\": " << kernel_s << ", \"report\": " << report_s << "},\n";
-    os << in1 << "\"latency\": {\n";
-    os << in2 << "\"count\": " << latency.count << ",\n";
-    os << in2 << "\"mean_us\": " << latency.mean_s() * 1e6 << ",\n";
-    os << in2 << "\"max_us\": " << latency.max_s * 1e6 << ",\n";
-    os << in2 << "\"buckets_le_us\": [";
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        os << (i ? ", " : "") << LatencyHistogram::bucket_le_us(i);
-    }
-    os << "],\n";
-    os << in2 << "\"bucket_counts\": [";
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        os << (i ? ", " : "") << latency.buckets[i];
-    }
-    os << "]\n";
-    os << in1 << "},\n";
-    write_data_plane_json(os, data_plane, in1, in2);
-    os << "\n" << pad << "}";
+bool ServiceTelemetry::reconciles() const noexcept {
+    return queued == served + rejected + queue_depth + inflight &&
+           served == cache_hits + cache_misses && shed <= served &&
+           latency.count == served + rejected;
 }
 
-void NetTelemetry::write_json(std::ostream& os, int indent) const {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    const std::string in1 = pad + "  ";
-    const std::string in2 = pad + "    ";
-    os << "{\n";
-    os << in1 << "\"schema\": \"cuzc-wire-v2\",\n";
-    os << in1 << "\"connections_accepted\": " << connections_accepted << ",\n";
-    os << in1 << "\"connections_closed\": " << connections_closed << ",\n";
-    os << in1 << "\"connections_active\": " << connections_active << ",\n";
-    os << in1 << "\"requests_accepted\": " << requests_accepted << ",\n";
-    os << in1 << "\"requests_completed\": " << requests_completed << ",\n";
-    os << in1 << "\"requests_failed\": " << requests_failed << ",\n";
-    os << in1 << "\"requests_in_flight\": " << requests_in_flight << ",\n";
-    os << in1 << "\"frames_rx\": " << frames_rx << ",\n";
-    os << in1 << "\"frames_tx\": " << frames_tx << ",\n";
-    os << in1 << "\"frames_rejected\": " << frames_rejected << ",\n";
-    os << in1 << "\"bytes_rx\": " << bytes_rx << ",\n";
-    os << in1 << "\"bytes_tx\": " << bytes_tx << ",\n";
-    os << in1 << "\"streams_opened\": " << streams_opened << ",\n";
-    os << in1 << "\"stream_chunks\": " << stream_chunks << ",\n";
-    os << in1 << "\"stream_bytes\": " << stream_bytes << ",\n";
-    os << in1 << "\"streams_aborted\": " << streams_aborted << ",\n";
-    write_data_plane_json(os, data_plane, in1, in2);
-    os << "\n" << pad << "}";
+io::Json ServiceTelemetry::json() const {
+    io::Json::Array bucket_bounds, bucket_counts;
+    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        bucket_bounds.emplace_back(LatencyHistogram::bucket_le_us(i));
+        bucket_counts.emplace_back(latency.buckets[i]);
+    }
+    return io::Json::Object{
+        {"schema", "cuzc-serve-telemetry-v2"}, {"queued", queued}, {"served", served},
+        {"cache_hits", cache_hits}, {"cache_misses", cache_misses}, {"shed", shed},
+        {"rejected", rejected}, {"batches", batches}, {"coalesced", coalesced},
+        {"uploads", uploads}, {"buffer_allocs", buffer_allocs},
+        {"max_queue_depth", max_queue_depth}, {"cache_evictions", cache_evictions},
+        {"cache_size", cache_size}, {"shards", shards}, {"exchange_bytes", exchange_bytes},
+        {"shard_retries", shard_retries}, {"faults_injected", faults_injected},
+        {"retries", retries}, {"timeouts", timeouts}, {"breaker_opens", breaker_opens},
+        {"breaker_open", breaker_open}, {"queue_depth", queue_depth}, {"inflight", inflight},
+        {"modeled_backlog_s", modeled_backlog_s},
+        {"spans_s", io::Json::Object{{"queue", queue_s}, {"upload", upload_s},
+                                     {"kernel", kernel_s}, {"report", report_s}}},
+        {"latency", io::Json::Object{{"count", latency.count},
+                                     {"mean_us", latency.mean_s() * 1e6},
+                                     {"max_us", latency.max_s * 1e6},
+                                     {"buckets_le_us", std::move(bucket_bounds)},
+                                     {"bucket_counts", std::move(bucket_counts)}}},
+        {"data_plane", data_plane_json(data_plane)}};
+}
+
+bool NetTelemetry::reconciles() const noexcept {
+    return requests_accepted == requests_completed + requests_failed + requests_in_flight &&
+           connections_accepted == connections_active + connections_closed &&
+           streams_opened >= streams_aborted;
+}
+
+io::Json NetTelemetry::json() const {
+    return io::Json::Object{
+        {"schema", "cuzc-wire-v2"}, {"connections_accepted", connections_accepted},
+        {"connections_closed", connections_closed}, {"connections_active", connections_active},
+        {"requests_accepted", requests_accepted}, {"requests_completed", requests_completed},
+        {"requests_failed", requests_failed}, {"requests_in_flight", requests_in_flight},
+        {"frames_rx", frames_rx}, {"frames_tx", frames_tx}, {"frames_rejected", frames_rejected},
+        {"bytes_rx", bytes_rx}, {"bytes_tx", bytes_tx}, {"streams_opened", streams_opened},
+        {"stream_chunks", stream_chunks}, {"stream_bytes", stream_bytes},
+        {"streams_aborted", streams_aborted}, {"data_plane", data_plane_json(data_plane)}};
 }
 
 }  // namespace cuzc::serve

@@ -2,9 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 
 #include "zc/field_buffer.hpp"
+
+namespace cuzc::io {
+class Json;
+}
 
 namespace cuzc::serve {
 
@@ -82,9 +85,12 @@ struct ServiceTelemetry {
     /// zc::data_plane_stats()).
     zc::DataPlaneStats data_plane;
 
-    /// Pretty-printed JSON object, schema "cuzc-serve-telemetry-v2" (v2
-    /// added the nested "data_plane" block).
-    void write_json(std::ostream& os, int indent = 0) const;
+    /// The reconciliation invariants above, at this snapshot.
+    [[nodiscard]] bool reconciles() const noexcept;
+
+    /// The JSON object, schema "cuzc-serve-telemetry-v2" (v2 added the
+    /// nested "data_plane" block).
+    [[nodiscard]] io::Json json() const;
 };
 
 /// Counters of the socket front-end (cuzc::net::NetServer) speaking
@@ -133,10 +139,13 @@ struct NetTelemetry {
     /// counters; the same numbers ServiceTelemetry reports).
     zc::DataPlaneStats data_plane;
 
-    /// Pretty-printed JSON object; `"schema": "cuzc-wire-v2"` names the
-    /// protocol the counters describe, and a nested "data_plane" block
-    /// carries the data-plane ledger.
-    void write_json(std::ostream& os, int indent = 0) const;
+    /// The reconciliation invariants above, at this snapshot.
+    [[nodiscard]] bool reconciles() const noexcept;
+
+    /// The JSON object; `"schema": "cuzc-wire-v2"` names the protocol the
+    /// counters describe, and a nested "data_plane" block carries the
+    /// data-plane ledger.
+    [[nodiscard]] io::Json json() const;
 };
 
 }  // namespace cuzc::serve

@@ -85,17 +85,13 @@ namespace {
 // trace, config, and CLI parsers.
 using io::parse_num;
 
-/// Upper bounds mirroring the wire codecs (net::wire kMaxExtent and the
-/// decoded-config caps): a trace that the in-process service would accept
-/// but a remote server would reject — or vice versa — breaks the
-/// local-vs-remote replay equivalence the CI smokes gate on. They also
-/// stop a size_t overflow: 4611686018427387904x3x1 wraps h*w*l past the
-/// zero check and would OOM at materialize time.
+/// The wire's per-axis extent cap (net::wire kMaxExtent): a trace that the
+/// in-process service would accept but a remote server would reject — or
+/// vice versa — breaks the local-vs-remote replay equivalence the CI smokes
+/// gate on. It also stops a size_t overflow: 4611686018427387904x3x1 wraps
+/// h*w*l past the zero check and would OOM at materialize time. Each metric
+/// knob is held to zc::validate's limits as it is read, as the wire does.
 constexpr std::uint64_t kMaxExtent = 1ull << 20;
-constexpr int kMaxBins = 1 << 20;
-constexpr int kMaxLag = 1 << 20;
-constexpr int kMaxDerivOrders = 8;
-constexpr int kMaxSsim = 1 << 20;
 
 }  // namespace
 
@@ -143,28 +139,18 @@ std::vector<TraceEntry> read_trace(std::istream& is) {
                     parse_fail(line_no, key + " must be 0 or 1, got '" + val + "'");
                 }
                 (key == "p1" ? e.pattern1 : key == "p2" ? e.pattern2 : e.pattern3) = val == "1";
-            } else if (key == "win") {
-                if (!parse_num(val, e.ssim_window) || e.ssim_window <= 0 ||
-                    e.ssim_window > kMaxSsim) {
-                    parse_fail(line_no, "win must be a positive integer, got '" + val + "'");
+            } else if (key == "win" || key == "lag" || key == "deriv" || key == "bins" ||
+                       key == "step") {
+                int& knob = key == "win"     ? e.ssim_window
+                            : key == "lag"   ? e.autocorr_max_lag
+                            : key == "deriv" ? e.deriv_orders
+                            : key == "bins"  ? e.pdf_bins
+                                             : e.ssim_step;
+                if (!parse_num(val, knob)) {
+                    parse_fail(line_no, key + " must be an integer, got '" + val + "'");
                 }
-            } else if (key == "lag") {
-                if (!parse_num(val, e.autocorr_max_lag) || e.autocorr_max_lag < 0 ||
-                    e.autocorr_max_lag > kMaxLag) {
-                    parse_fail(line_no, "lag must be an integer >= 0, got '" + val + "'");
-                }
-            } else if (key == "deriv") {
-                if (!parse_num(val, e.deriv_orders) || e.deriv_orders < 1 ||
-                    e.deriv_orders > kMaxDerivOrders) {
-                    parse_fail(line_no, "deriv must be a positive integer, got '" + val + "'");
-                }
-            } else if (key == "bins") {
-                if (!parse_num(val, e.pdf_bins) || e.pdf_bins <= 0 || e.pdf_bins > kMaxBins) {
-                    parse_fail(line_no, "bins must be a positive integer, got '" + val + "'");
-                }
-            } else if (key == "step") {
-                if (!parse_num(val, e.ssim_step) || e.ssim_step <= 0 || e.ssim_step > kMaxSsim) {
-                    parse_fail(line_no, "step must be a positive integer, got '" + val + "'");
+                if (const std::string err = zc::validate(e.metrics()); !err.empty()) {
+                    parse_fail(line_no, err);
                 }
             } else if (key == "deadline_us") {
                 if (!parse_num(val, e.deadline_us) || e.deadline_us < 0) {

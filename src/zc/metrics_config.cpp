@@ -1,5 +1,7 @@
 #include "metrics_config.hpp"
 
+#include <cmath>
+
 namespace cuzc::zc {
 
 std::string_view to_string(Metric m) noexcept {
@@ -36,6 +38,29 @@ std::string_view to_string(Pattern p) noexcept {
         case Pattern::kSlidingWindow: return "pattern-3/sliding-window";
     }
     return "?";
+}
+
+std::string validate(const MetricsConfig& cfg) {
+    const struct {
+        const char* key;
+        int value, min, max;
+    } knobs[] = {
+        {"pdf_bins", cfg.pdf_bins, 1, kMaxPdfBins},
+        {"autocorr_max_lag", cfg.autocorr_max_lag, 0, kMaxAutocorrLag},
+        {"deriv_orders", cfg.deriv_orders, 1, kMaxDerivOrders},
+        {"ssim_window", cfg.ssim_window, 1, kMaxSsimExtent},
+        {"ssim_step", cfg.ssim_step, 1, kMaxSsimExtent},
+    };
+    for (const auto& k : knobs) {
+        if (k.value < k.min || k.value > k.max) {
+            return std::string(k.key) + " = " + std::to_string(k.value) + " is outside [" +
+                   std::to_string(k.min) + ", " + std::to_string(k.max) + "]";
+        }
+    }
+    if (!(cfg.pwr_eps >= 0) || !std::isfinite(cfg.pwr_eps)) {
+        return "pwr_eps must be finite and >= 0";
+    }
+    return {};
 }
 
 }  // namespace cuzc::zc

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace cuzc::zc {
@@ -90,5 +91,19 @@ struct MetricsConfig {
         return base;
     }
 };
+
+/// The limits every front end holds a MetricsConfig to: the wire's request
+/// and stream-begin decoders, the trace reader and the .cfg loader. They
+/// bound the allocations and kernel trip counts one config can ask for, and
+/// sharing them keeps a config that one front end accepts acceptable to
+/// every other.
+inline constexpr int kMaxPdfBins = 1 << 20;
+inline constexpr int kMaxAutocorrLag = 1 << 20;
+inline constexpr int kMaxDerivOrders = 8;
+inline constexpr int kMaxSsimExtent = 1 << 20;  ///< ssim_window and ssim_step
+
+/// "" when every knob of `cfg` is within the limits above (and pwr_eps is
+/// finite and >= 0), otherwise a message naming the first offending key.
+[[nodiscard]] std::string validate(const MetricsConfig& cfg);
 
 }  // namespace cuzc::zc

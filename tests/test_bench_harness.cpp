@@ -29,6 +29,7 @@ namespace vgpu = ::cuzc::vgpu;
 namespace czc = ::cuzc::cuzc;
 namespace tst = ::cuzc::testing;
 using namespace ::cuzc::bench;
+using ::cuzc::io::Flags;
 
 vgpu::KernelStats run_pattern(zc::Pattern p, const zc::Dims3& dims,
                               const zc::MetricsConfig& cfg) {
@@ -283,8 +284,9 @@ TEST(BenchConfigDeathTest, ScaleTypoExitsInsteadOfRunningFullSize) {
 
 TEST(BenchRecord, WritesEnvelopeKeysAndGates) {
     Record rec("bench_test");
-    rec.num("requests", 32).num("relative_throughput", 0.75).str("dims", "4x4x4");
-    rec.raw("results", "[\n    {\"stats\":" + stats_json(vgpu::KernelStats{}) + "}\n  ]");
+    rec.set("requests", 32).set("relative_throughput", 0.75).set("dims", "4x4x4");
+    rec.set("results", ::cuzc::io::Json::Array{
+                           ::cuzc::io::Json::Object{{"stats", stats_json(vgpu::KernelStats{})}}});
     EXPECT_TRUE(rec.check("identical", 32, Op::kEqual, 32));
     EXPECT_FALSE(rec.check("relative_throughput", 0.75, Op::kAtLeast, 0.8, false));
     EXPECT_EQ(rec.status(), 0);  // the failed floor was not enforced
@@ -298,16 +300,16 @@ TEST(BenchRecord, WritesEnvelopeKeysAndGates) {
     std::stringstream doc;
     doc << in.rdbuf();
     std::filesystem::remove(path);
-    const std::string text = doc.str();
-    EXPECT_EQ(printed, text);
-    for (const char* key : {"\"schema\": \"cuzc-bench-v1\"", "\"bench\": \"bench_test\"",
-                            "\"simd\": \"simd=", "\"block_workers\": ", "\"nproc\": ",
-                            "\"peak_rss_kib\": ", "\"requests\": 32",
-                            "\"relative_throughput\": 0.75", "\"dims\": \"4x4x4\"",
-                            "\"stats\":{\"blocks\":0,", "\"gates\": [",
-                            "{\"name\": \"identical\", \"value\": 32, \"op\": \"==\", "
-                            "\"threshold\": 32, \"outcome\": \"pass\"}",
-                            "\"op\": \">=\", \"threshold\": 0.8, \"outcome\": \"skip\"}"}) {
+    EXPECT_EQ(printed, doc.str());
+    const std::string text = tst::strip_json_ws(doc.str());
+    for (const char* key : {"\"schema\":\"cuzc-bench-v1\"", "\"bench\":\"bench_test\"",
+                            "\"simd\":\"simd=", "\"block_workers\":", "\"nproc\":",
+                            "\"peak_rss_kib\":", "\"requests\":32",
+                            "\"relative_throughput\":0.75", "\"dims\":\"4x4x4\"",
+                            "\"stats\":{\"blocks\":0,", "\"gates\":[",
+                            "{\"name\":\"identical\",\"value\":32,\"op\":\"==\","
+                            "\"threshold\":32,\"outcome\":\"pass\"}",
+                            "\"op\":\">=\",\"threshold\":0.8,\"outcome\":\"skip\"}"}) {
         EXPECT_NE(text.find(key), std::string::npos) << key << "\n" << text;
     }
     EXPECT_LT(text.find("\"peak_rss_kib\""), text.find("\"requests\""));

@@ -420,6 +420,74 @@ TEST_F(CliFixture, ParserValidatesListenConnectAndTrace) {
     EXPECT_EQ(trace->trace_distinct, 3u);
 }
 
+TEST_F(CliFixture, ServeReplayEscapesTheSimdBanner) {
+    // The SIMD banner embeds CUZC_SIMD verbatim; a quote and a backslash in
+    // it must reach the replay document escaped, or the document no longer
+    // parses.
+    const auto trace_path = dir / "simd.trace";
+    {
+        std::ofstream t(trace_path);
+        t << "# cuzc-trace-v1\nreq dims=4x4x4 seed=1 noise=0.01\n";
+    }
+    const char* before = std::getenv("CUZC_SIMD");
+    const std::string saved = before != nullptr ? before : "";
+    ::setenv("CUZC_SIMD", "x\"y\\z", 1);
+    std::string out;
+    const int rc = run({"serve", "--replay=" + trace_path.string()}, &out);
+    if (before != nullptr) {
+        ::setenv("CUZC_SIMD", saved.c_str(), 1);
+    } else {
+        ::unsetenv("CUZC_SIMD");
+    }
+    EXPECT_EQ(rc, 0);
+    EXPECT_NE(out.find("CUZC_SIMD=x\\\"y\\\\z)\",\n"), std::string::npos) << out;
+    EXPECT_EQ(out.find("x\"y"), std::string::npos) << out;
+}
+
+// Each subcommand's flag table holds exactly the flags it reads: a flag of
+// another subcommand is refused instead of silently ignored.
+TEST_F(CliFixture, LocalAssessmentRefusesServiceAndTraceFlags) {
+    EXPECT_FALSE(parse({"--orig=o.f32", "--dec=d.f32", "--dims=16x12x10", "--cache=4"}));
+    EXPECT_FALSE(parse({"--orig=o.f32", "--dec=d.f32", "--dims=16x12x10", "--requests=3"}));
+    EXPECT_FALSE(
+        parse({"--orig=o.f32", "--dec=d.f32", "--dims=16x12x10", "--cache=4", "--requests=3"}));
+    EXPECT_TRUE(parse({"--orig=o.f32", "--dec=d.f32", "--dims=16x12x10"}));
+}
+
+TEST_F(CliFixture, TraceRefusesAssessmentFlags) {
+    EXPECT_FALSE(parse({"trace", "--devices=2"}));
+    EXPECT_FALSE(parse({"trace", "--orig=x"}));
+    EXPECT_FALSE(parse({"trace", "--devices=2", "--orig=x"}));
+    EXPECT_TRUE(parse({"trace", "--requests=3"}));
+}
+
+TEST_F(CliFixture, FuzzRefusesAssessmentAndServiceFlags) {
+    EXPECT_FALSE(parse({"fuzz", "--list", "--dims=2x2x2"}));
+    EXPECT_FALSE(parse({"fuzz", "--list", "--cache=3"}));
+    EXPECT_FALSE(parse({"fuzz", "--list", "--dims=2x2x2", "--cache=3"}));
+    EXPECT_TRUE(parse({"fuzz", "--list"}));
+}
+
+TEST_F(CliFixture, ServeRefusesAssessmentFlags) {
+    EXPECT_FALSE(parse({"serve", "--replay=t.trace", "--orig=o.f32"}));
+    EXPECT_FALSE(parse({"serve", "--replay=t.trace", "--profile"}));
+    EXPECT_TRUE(parse({"serve", "--replay=t.trace"}));
+}
+
+TEST_F(CliFixture, RemoteAssessRefusesLocalDeviceFlags) {
+    EXPECT_FALSE(parse({"assess", "--connect=h:1", "--orig=o", "--dec=d", "--dims=2x2x2",
+                        "--devices=2"}));
+    EXPECT_FALSE(parse({"assess", "--connect=h:1", "--orig=o", "--dec=d", "--dims=2x2x2",
+                        "--profile"}));
+    EXPECT_TRUE(parse({"assess", "--connect=h:1", "--orig=o", "--dec=d", "--dims=2x2x2"}));
+}
+
+TEST_F(CliFixture, RemoteReplayRefusesServiceFlags) {
+    EXPECT_FALSE(parse({"replay", "--connect=h:1", "--replay=t", "--cache=3"}));
+    EXPECT_FALSE(parse({"replay", "--connect=h:1", "--replay=t", "--format=json"}));
+    EXPECT_TRUE(parse({"replay", "--connect=h:1", "--replay=t"}));
+}
+
 TEST_F(CliFixture, NetLoopbackReplayMatchesInProcessServe) {
     // End-to-end through the CLI entry points only: generate a trace,
     // serve it over a loopback socket, replay it remotely, and check the

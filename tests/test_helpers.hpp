@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/noise.hpp"
@@ -197,6 +201,68 @@ inline std::vector<std::uint8_t> one_symbol_sz_stream(zc::Dims3 dims,
     w.put<std::uint64_t>(payload.size());
     w.put_bytes(payload);
     return w.finish();
+}
+
+/// `json` without the whitespace outside string literals, so two documents
+/// that differ only in layout compare equal.
+inline std::string strip_json_ws(std::string_view json) {
+    std::string out;
+    bool in_string = false;
+    for (std::size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (in_string) {
+            out += c;
+            if (c == '\\' && i + 1 < json.size()) {
+                out += json[++i];
+            } else if (c == '"') {
+                in_string = false;
+            }
+        } else if (c == '"') {
+            in_string = true;
+            out += c;
+        } else if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+            out += c;
+        }
+    }
+    return out;
+}
+
+/// strip_json_ws(json) with the value of every member named in `keys`
+/// replaced by `*`: the values that differ between runs (timings, ports,
+/// paths, process-wide counters) are masked, every key and its order kept.
+inline std::string mask_json(std::string_view json,
+                             std::initializer_list<std::string_view> keys) {
+    std::string s = strip_json_ws(json);
+    for (const std::string_view key : keys) {
+        const std::string needle = "\"" + std::string(key) + "\":";
+        for (std::size_t at = s.find(needle); at != std::string::npos;
+             at = s.find(needle, at + needle.size())) {
+            const std::size_t begin = at + needle.size();
+            std::size_t end = begin;
+            int depth = 0;
+            bool in_string = false;
+            for (; end < s.size(); ++end) {
+                const char c = s[end];
+                if (in_string) {
+                    if (c == '\\') {
+                        ++end;
+                    } else if (c == '"') {
+                        in_string = false;
+                    }
+                } else if (c == '"') {
+                    in_string = true;
+                } else if (c == '{' || c == '[') {
+                    ++depth;
+                } else if ((c == '}' || c == ']' || c == ',') && depth == 0) {
+                    break;
+                } else if (c == '}' || c == ']') {
+                    --depth;
+                }
+            }
+            s.replace(begin, end - begin, "*");
+        }
+    }
+    return s;
 }
 
 }  // namespace cuzc::testing

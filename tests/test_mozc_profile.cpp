@@ -107,4 +107,38 @@ TEST(MultiGpuBounds, PartitionIsMonotoneAndComplete) {
     }
 }
 
+TEST(MozcKernels, OversizedPdfBinsKeepReductionsAndDropPdfs) {
+    // Each moZC histogram kernel keeps `bins` doubles of block-local counts:
+    // 6144 fill the 48 KiB carve-out exactly. Past it the PDFs are left out
+    // (entropy 0, no PDF range) instead of overflowing the block's arena,
+    // and the reductions are those of a small-bins run.
+    const zc::Field orig = tst::smooth_field({20, 12, 6}, 3);
+    const zc::Field dec = tst::perturbed(orig, 0.01, 5);
+    zc::MetricsConfig cfg = zc::MetricsConfig::only(zc::Pattern::kGlobalReduction);
+    cfg.pdf_bins = 100;
+    vgpu::Device ref_dev;
+    const auto ref = mozc::assess(ref_dev, orig.view(), dec.view(), cfg).report.reduction;
+    for (const int bins : {6144, 6145, 1 << 20}) {
+        SCOPED_TRACE("bins " + std::to_string(bins));
+        cfg.pdf_bins = bins;
+        vgpu::Device dev;
+        const auto r = mozc::assess(dev, orig.view(), dec.view(), cfg).report.reduction;
+        const std::size_t kept = bins <= 6144 ? static_cast<std::size_t>(bins) : 0;
+        EXPECT_EQ(r.err_pdf.size(), kept);
+        EXPECT_EQ(r.pwr_err_pdf.size(), kept);
+        if (kept == 0) {
+            EXPECT_EQ(r.entropy, 0.0);
+            EXPECT_EQ(r.err_pdf_min, 0.0);
+            EXPECT_EQ(r.err_pdf_max, 0.0);
+        } else {
+            EXPECT_GT(r.entropy, 0.0);
+            EXPECT_EQ(r.err_pdf_min, ref.err_pdf_min);
+        }
+        EXPECT_EQ(r.mse, ref.mse);
+        EXPECT_EQ(r.psnr_db, ref.psnr_db);
+        EXPECT_EQ(r.pearson_r, ref.pearson_r);
+        EXPECT_EQ(r.max_abs_err, ref.max_abs_err);
+    }
+}
+
 }  // namespace

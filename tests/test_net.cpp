@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cuzc/cuzc.hpp"
+#include "io/json.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
 #include "test_helpers.hpp"
@@ -813,7 +814,7 @@ TEST(NetServer, TelemetryJsonCarriesWireSchema) {
     }
     const auto tele = server.telemetry();
     std::ostringstream json;
-    tele.write_json(json);
+    json << tele.json();
     const std::string s = json.str();
     EXPECT_NE(s.find("\"schema\": \"cuzc-wire-v2\""), std::string::npos);
     EXPECT_NE(s.find("\"requests_accepted\": 1"), std::string::npos);

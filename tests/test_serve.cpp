@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cuzc/cuzc.hpp"
+#include "io/json.hpp"
 #include "serve/serve.hpp"
 #include "sz/sz.hpp"
 #include "test_helpers.hpp"
@@ -350,12 +351,12 @@ TEST(Serve, TelemetryReconcilesWithGeneratedTrace) {
     EXPECT_EQ(tele.max_queue_depth, trace.size());  // paused: all enqueued first
 
     std::ostringstream json;
-    tele.write_json(json);
+    json << tele.json();
     EXPECT_NE(json.str().find("\"schema\": \"cuzc-serve-telemetry-v2\""), std::string::npos);
     EXPECT_NE(json.str().find("\"bucket_counts\""), std::string::npos);
 }
 
-// Pull a `"key": N` integer out of write_json output; -1 if absent.
+// Pull a `"key": N` integer out of the telemetry JSON; -1 if absent.
 long long json_counter(const std::string& json, const std::string& key) {
     const std::string needle = "\"" + key + "\": ";
     const auto pos = json.find(needle);
@@ -376,7 +377,7 @@ TEST(Serve, TelemetryJsonParsesBackAndReconciles) {
 
     const auto snapshot = [&service] {
         std::ostringstream os;
-        service.telemetry().write_json(os);
+        os << service.telemetry().json();
         return os.str();
     };
     const std::string paused = snapshot();
@@ -395,6 +396,60 @@ TEST(Serve, TelemetryJsonParsesBackAndReconciles) {
     EXPECT_EQ(json_counter(drained, "queued"),
               json_counter(drained, "served") + json_counter(drained, "rejected") +
                   json_counter(drained, "queue_depth") + json_counter(drained, "inflight"));
+}
+
+TEST(ServeTelemetry, ServiceLedgerFailsWhenOneCounterIsOffByOne) {
+    using T = serve::ServiceTelemetry;
+    T t;
+    t.queued = 10;
+    t.served = 7;
+    t.rejected = 1;
+    t.queue_depth = 1;
+    t.inflight = 1;
+    t.cache_hits = 3;
+    t.cache_misses = 4;
+    t.shed = 7;
+    t.latency.count = 8;
+    ASSERT_TRUE(t.reconciles());
+    // queued == served + rejected + queue_depth + inflight, and
+    // served == cache_hits + cache_misses.
+    for (std::uint64_t T::*c : {&T::queued, &T::served, &T::rejected, &T::queue_depth,
+                                &T::inflight, &T::cache_hits, &T::cache_misses}) {
+        T off = t;
+        ++(off.*c);
+        EXPECT_FALSE(off.reconciles());
+    }
+    T shed = t;  // shed <= served
+    ++shed.shed;
+    EXPECT_FALSE(shed.reconciles());
+    T spans = t;  // latency.count == served + rejected
+    ++spans.latency.count;
+    EXPECT_FALSE(spans.reconciles());
+}
+
+TEST(ServeTelemetry, NetLedgerFailsWhenOneCounterIsOffByOne) {
+    using T = serve::NetTelemetry;
+    T t;
+    t.requests_accepted = 5;
+    t.requests_completed = 3;
+    t.requests_failed = 1;
+    t.requests_in_flight = 1;
+    t.connections_accepted = 3;
+    t.connections_active = 1;
+    t.connections_closed = 2;
+    t.streams_opened = 2;
+    t.streams_aborted = 2;
+    ASSERT_TRUE(t.reconciles());
+    // The request ledger, the connection ledger and streams_opened >=
+    // streams_aborted.
+    for (std::uint64_t T::*c :
+         {&T::requests_accepted, &T::requests_completed, &T::requests_failed,
+          &T::requests_in_flight, &T::connections_accepted, &T::connections_active,
+          &T::connections_closed, &T::streams_aborted}) {
+        T off = t;
+        ++(off.*c);
+        EXPECT_FALSE(off.reconciles());
+    }
 }
 
 TEST(Serve, ServiceMatchesDirectAssessAcrossTrace) {

@@ -16,12 +16,14 @@
 #include "io/config.hpp"
 #include "io/strict_parse.hpp"
 #include "serve/trace.hpp"
+#include "zc/metrics_config.hpp"
 
 namespace {
 
 namespace cli = ::cuzc::cli;
 namespace io = ::cuzc::io;
 namespace serve = ::cuzc::serve;
+namespace zc = ::cuzc::zc;
 
 /// The shared verdict table. `ok_int`/`ok_uint`/`ok_double` say whether
 /// io::parse_num accepts the text for that type; the higher layers must
@@ -172,6 +174,51 @@ TEST(StrictParse, RejectionsAlwaysCarryADiagnostic) {
         EXPECT_FALSE(opt.has_value()) << "--devices=" << c.text;
         EXPECT_FALSE(diag.empty()) << "--devices=" << c.text;
     }
+}
+
+TEST(StrictParse, OutOfRangeMetricsAreRefusedByEveryFrontEndNamingTheKey) {
+    // The .cfg loader used to pass these on: a 1-bin PDF with entropy 0,
+    // SSIM 0, an empty autocorrelation. The trace reader and the wire
+    // refuse them, and all three now hold one set of limits.
+    struct Case {
+        const char* key;        ///< MetricsConfig / .cfg key
+        const char* trace_key;  ///< cuzc-trace-v1 token
+        int value;
+        int zc::MetricsConfig::*field;
+    };
+    const Case cases[] = {
+        {"pdf_bins", "bins", 0, &zc::MetricsConfig::pdf_bins},
+        {"pdf_bins", "bins", -5, &zc::MetricsConfig::pdf_bins},
+        {"ssim_window", "win", 0, &zc::MetricsConfig::ssim_window},
+        {"ssim_step", "step", 0, &zc::MetricsConfig::ssim_step},
+        {"autocorr_max_lag", "lag", -3, &zc::MetricsConfig::autocorr_max_lag},
+        {"deriv_orders", "deriv", 0, &zc::MetricsConfig::deriv_orders},
+    };
+    for (const Case& c : cases) {
+        const std::string value = std::to_string(c.value);
+        SCOPED_TRACE(std::string(c.key) + " = " + value);
+        zc::MetricsConfig m;
+        m.*c.field = c.value;
+        EXPECT_NE(zc::validate(m).find(c.key), std::string::npos) << zc::validate(m);
+
+        const std::string cfg = "[metrics]\n" + std::string(c.key) + " = " + value + "\n";
+        try {
+            (void)io::metrics_from_config(io::Config::parse(cfg));
+            ADD_FAILURE() << "accepted: " << cfg;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos) << e.what();
+        }
+
+        std::istringstream trace("req dims=4x4x4 " + std::string(c.trace_key) + "=" + value +
+                                 "\n");
+        try {
+            (void)serve::read_trace(trace);
+            ADD_FAILURE() << "trace accepted " << c.trace_key << "=" << value;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos) << e.what();
+        }
+    }
+    EXPECT_EQ(zc::validate(zc::MetricsConfig{}), "");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <thread>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <span>
@@ -15,8 +14,9 @@
 #include "data/raw_io.hpp"
 #include "fuzz/fuzz.hpp"
 #include "io/config.hpp"
-#include "io/strict_parse.hpp"
+#include "io/flags.hpp"
 #include "io/html_report.hpp"
+#include "io/json.hpp"
 #include "io/report_writer.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
@@ -30,20 +30,6 @@
 
 namespace cuzc::cli {
 
-namespace {
-
-[[nodiscard]] std::vector<std::uint8_t> read_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    const auto size = static_cast<std::size_t>(in.tellg());
-    in.seekg(0);
-    std::vector<std::uint8_t> bytes(size);
-    in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
-    return bytes;
-}
-
-}  // namespace
-
 std::string usage() {
     return "usage: cuzc --orig=orig.f32 (--dec=dec.f32 | --sz=stream.sz) --dims=HxWxL\n"
            "            [--config=zc.cfg] [--format=text|csv|json|html] [--out=report]\n"
@@ -53,14 +39,15 @@ std::string usage() {
            "            [--timeout=SECONDS] [--shard-threshold=SECONDS] [--faults=SPEC]\n"
            "       cuzc serve --listen=PORT [--port-file=PATH] [service flags as above]\n"
            "       cuzc replay --connect=HOST:PORT --replay=TRACE [--stream-chunk=N]\n"
-           "            [--out=report.json]\n"
+           "            [--devices=N] [--threads=N] [--out=report.json]\n"
            "       cuzc assess --connect=HOST:PORT --orig=orig.f32 --dec=dec.f32\n"
            "            --dims=HxWxL [--stream-chunk=N] [--config=zc.cfg]\n"
            "            [--format=...] [--out=report]\n"
            "       cuzc trace [--requests=N] [--seed=N] [--distinct=N]\n"
            "            [--tight-fraction=F] [--out=trace.txt]\n"
            "       cuzc fuzz [--target=NAME|all] [--seed=N] [--iters=N]\n"
-           "            [--corpus=DIR] [--list] [--write-corpus=DIR] [--out=summary.json]\n"
+           "            [--corpus=DIR] [--list] [--write-corpus=DIR] [--threads=N]\n"
+           "            [--out=summary.json]\n"
            "       cuzc --version\n"
            "\n"
            "Assess the quality of lossy-compressed scientific data with the\n"
@@ -78,266 +65,167 @@ std::string usage() {
            "checked-in regressions first and saves minimized crashers there).\n";
 }
 
-std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::ostream& err) {
-    CliOptions opt;
-    const auto value_of = [](const char* arg, const char* flag) -> const char* {
-        const std::size_t n = std::strlen(flag);
-        return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
+namespace {
+
+/// `--connect=HOST:PORT` with a non-empty host and a port in 1..65535.
+bool parse_connect(std::string_view v, CliOptions& opt) {
+    const std::size_t colon = v.rfind(':');
+    unsigned port = 0;
+    if (colon == std::string_view::npos || colon == 0 ||
+        !io::parse_num(v.substr(colon + 1), port) || port == 0 || port > 65535) {
+        return false;
+    }
+    opt.connect_host = std::string(v.substr(0, colon));
+    opt.connect_port = static_cast<std::uint16_t>(port);
+    return true;
+}
+
+/// The flag table of the subcommand `opt` selects: exactly the flags that
+/// subcommand reads, each setting its field of `opt`.
+io::Flags flag_table(CliOptions& opt) {
+    io::Flags f("cuzc");
+    f.text("--out", opt.out_path);
+    const auto field_pair = [&] {
+        f.text("--orig", opt.orig_path)
+            .text("--dec", opt.dec_path)
+            .text("--sz", opt.sz_stream_path)
+            .dims("--dims", opt.dims)
+            .text("--config", opt.config_path)
+            .text("--format", opt.format);
     };
-    int first = 1;
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-        opt.serve_mode = true;
-        first = 2;
-    } else if (argc > 1 && std::strcmp(argv[1], "replay") == 0) {
-        opt.replay_mode = true;
-        first = 2;
-    } else if (argc > 1 && std::strcmp(argv[1], "trace") == 0) {
-        opt.trace_mode = true;
-        first = 2;
-    } else if (argc > 1 && std::strcmp(argv[1], "assess") == 0) {
-        opt.assess_mode = true;
-        first = 2;
-    } else if (argc > 1 && std::strcmp(argv[1], "fuzz") == 0) {
-        opt.fuzz_mode = true;
-        first = 2;
-    }
-    for (int i = first; i < argc; ++i) {
-        const char* a = argv[i];
-        if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-            opt.help = true;
-            return opt;
-        } else if (std::strcmp(a, "--version") == 0) {
-            opt.version = true;
-            return opt;
-        } else if (std::strcmp(a, "--profile") == 0) {
-            opt.show_profile = true;
-        } else if (const char* v = value_of(a, "--orig=")) {
-            opt.orig_path = v;
-        } else if (const char* v2 = value_of(a, "--dec=")) {
-            opt.dec_path = v2;
-        } else if (const char* v3 = value_of(a, "--sz=")) {
-            opt.sz_stream_path = v3;
-        } else if (const char* v4 = value_of(a, "--dims=")) {
-            if (!io::parse_dims(v4, opt.dims)) {
-                err << "cuzc: bad --dims, expected HxWxL with positive extents\n";
-                return std::nullopt;
-            }
-        } else if (const char* v5 = value_of(a, "--config=")) {
-            opt.config_path = v5;
-        } else if (const char* v6 = value_of(a, "--format=")) {
-            opt.format = v6;
-        } else if (const char* v7 = value_of(a, "--out=")) {
-            opt.out_path = v7;
-        } else if (const char* v8 = value_of(a, "--devices=")) {
-            // Strict full-consumption parse (io::parse_num): "--devices=2x"
-            // and "--devices=junk" are errors, not 2 and 0 as with atoi.
-            if (!io::parse_num(std::string_view(v8), opt.devices) || opt.devices == 0) {
-                err << "cuzc: --devices must be a positive integer\n";
-                return std::nullopt;
-            }
-        } else if (const char* v9 = value_of(a, "--threads=")) {
-            if (!io::parse_num(std::string_view(v9), opt.threads) || opt.threads == 0) {
-                err << "cuzc: --threads must be a positive integer\n";
-                return std::nullopt;
-            }
-        } else if (const char* v10 = value_of(a, "--replay=")) {
-            opt.replay_path = v10;
-        } else if (const char* v11 = value_of(a, "--cache=")) {
-            if (!io::parse_num(std::string_view(v11), opt.cache_capacity)) {
-                err << "cuzc: --cache must be an integer >= 0\n";
-                return std::nullopt;
-            }
-        } else if (const char* v12 = value_of(a, "--batch=")) {
-            if (!io::parse_num(std::string_view(v12), opt.max_batch) || opt.max_batch == 0) {
-                err << "cuzc: --batch must be a positive integer\n";
-                return std::nullopt;
-            }
-        } else if (std::strcmp(a, "--no-coalesce") == 0) {
-            opt.coalesce = false;
-        } else if (const char* v13 = value_of(a, "--timeout=")) {
-            if (!io::parse_num(std::string_view(v13), opt.request_timeout_s) ||
-                opt.request_timeout_s < 0) {
-                err << "cuzc: --timeout must be a number of seconds >= 0\n";
-                return std::nullopt;
-            }
-        } else if (const char* v15 = value_of(a, "--shard-threshold=")) {
-            if (!io::parse_num(std::string_view(v15), opt.shard_threshold_s) ||
-                opt.shard_threshold_s < 0) {
-                err << "cuzc: --shard-threshold must be a number of modeled seconds >= 0\n";
-                return std::nullopt;
-            }
-        } else if (const char* v14 = value_of(a, "--faults=")) {
-            try {
-                opt.faults = vgpu::FaultPlan::parse(v14);
+    const auto connect = [&] {
+        f.value("--connect", [&opt](std::string_view v) { return parse_connect(v, opt); })
+            .num("--stream-chunk", opt.stream_chunk, std::size_t{1});
+    };
+    if (opt.serve_mode) {
+        f.text("--replay", opt.replay_path)
+            .value("--listen",
+                   [&opt](std::string_view v) {
+                       opt.listen_mode = io::parse_num(v, opt.listen_port);
+                       return opt.listen_mode;
+                   })
+            .text("--port-file", opt.port_file)
+            .num("--devices", opt.devices, 1u)
+            .num("--threads", opt.threads, 1u)
+            .num("--cache", opt.cache_capacity, std::size_t{0})
+            .num("--batch", opt.max_batch, std::size_t{1})
+            .flag("--no-coalesce", opt.coalesce, false)
+            .num("--timeout", opt.request_timeout_s, 0.0)
+            .num("--shard-threshold", opt.shard_threshold_s, 0.0)
+            .value("--faults", [&opt](std::string_view v) {
+                opt.faults = vgpu::FaultPlan::parse(v);
                 opt.faults_from_flag = true;
-            } catch (const std::exception& e) {
-                err << "cuzc: " << e.what() << "\n";
-                return std::nullopt;
-            }
-        } else if (const char* v16 = value_of(a, "--listen=")) {
-            unsigned port = 0;
-            if (!io::parse_num(std::string_view(v16), port) || port > 65535) {
-                err << "cuzc: --listen must be a port number (0 = ephemeral)\n";
-                return std::nullopt;
-            }
-            opt.listen_mode = true;
-            opt.listen_port = static_cast<std::uint16_t>(port);
-        } else if (const char* v17 = value_of(a, "--port-file=")) {
-            opt.port_file = v17;
-        } else if (const char* v18 = value_of(a, "--connect=")) {
-            const std::string_view sv(v18);
-            const auto colon = sv.rfind(':');
-            unsigned port = 0;
-            if (colon == std::string_view::npos || colon == 0) {
-                err << "cuzc: --connect must be HOST:PORT\n";
-                return std::nullopt;
-            }
-            if (!io::parse_num(sv.substr(colon + 1), port) || port == 0 || port > 65535) {
-                err << "cuzc: --connect must be HOST:PORT\n";
-                return std::nullopt;
-            }
-            opt.connect_host = std::string(sv.substr(0, colon));
-            opt.connect_port = static_cast<std::uint16_t>(port);
-        } else if (const char* v19 = value_of(a, "--requests=")) {
-            if (!io::parse_num(std::string_view(v19), opt.trace_requests) ||
-                opt.trace_requests == 0) {
-                err << "cuzc: --requests must be a positive integer\n";
-                return std::nullopt;
-            }
-        } else if (const char* v20 = value_of(a, "--seed=")) {
-            if (!io::parse_num(std::string_view(v20), opt.trace_seed)) {
-                err << "cuzc: --seed must be an unsigned integer\n";
-                return std::nullopt;
-            }
-        } else if (const char* v21 = value_of(a, "--distinct=")) {
-            if (!io::parse_num(std::string_view(v21), opt.trace_distinct) ||
-                opt.trace_distinct == 0) {
-                err << "cuzc: --distinct must be a positive integer\n";
-                return std::nullopt;
-            }
-        } else if (const char* v23 = value_of(a, "--stream-chunk=")) {
-            if (!io::parse_num(std::string_view(v23), opt.stream_chunk) ||
-                opt.stream_chunk == 0) {
-                err << "cuzc: --stream-chunk must be a positive element count\n";
-                return std::nullopt;
-            }
-        } else if (const char* v22 = value_of(a, "--tight-fraction=")) {
-            if (!io::parse_num(std::string_view(v22), opt.trace_tight_fraction) ||
-                opt.trace_tight_fraction < 0 || opt.trace_tight_fraction > 1) {
-                err << "cuzc: --tight-fraction must be in [0, 1]\n";
-                return std::nullopt;
-            }
-        } else if (const char* v24 = value_of(a, "--target=")) {
-            opt.fuzz_target = v24;
-        } else if (const char* v25 = value_of(a, "--iters=")) {
-            if (!io::parse_num(std::string_view(v25), opt.fuzz_iters)) {
-                err << "cuzc: --iters must be an integer >= 0\n";
-                return std::nullopt;
-            }
-        } else if (const char* v26 = value_of(a, "--corpus=")) {
-            opt.fuzz_corpus = v26;
-        } else if (const char* v27 = value_of(a, "--write-corpus=")) {
-            opt.fuzz_write_corpus = v27;
-        } else if (std::strcmp(a, "--list") == 0) {
-            opt.fuzz_list = true;
-        } else {
-            err << "cuzc: unknown argument '" << a << "'\n";
-            return std::nullopt;
-        }
+                return true;
+            });
+    } else if (opt.replay_mode) {
+        connect();
+        // --devices and --threads are recorded in the replay document.
+        f.text("--replay", opt.replay_path)
+            .num("--devices", opt.devices, 1u)
+            .num("--threads", opt.threads, 1u);
+    } else if (opt.assess_mode) {
+        connect();
+        field_pair();
+    } else if (opt.trace_mode) {
+        f.num("--requests", opt.trace_requests, std::size_t{1})
+            .num("--seed", opt.trace_seed, std::uint64_t{0})
+            .num("--distinct", opt.trace_distinct, std::size_t{1})
+            .num("--tight-fraction", opt.trace_tight_fraction, 0.0, 1.0);
+    } else if (opt.fuzz_mode) {
+        f.text("--target", opt.fuzz_target)
+            .num("--seed", opt.trace_seed, std::uint64_t{0})
+            .num("--iters", opt.fuzz_iters, std::uint64_t{0})
+            .text("--corpus", opt.fuzz_corpus)
+            .text("--write-corpus", opt.fuzz_write_corpus)
+            .flag("--list", opt.fuzz_list)
+            .num("--threads", opt.threads, 1u);
+    } else {
+        field_pair();
+        f.num("--devices", opt.devices, 1u)
+            .num("--threads", opt.threads, 1u)
+            .flag("--profile", opt.show_profile);
     }
-    if (!opt.fuzz_mode && (opt.fuzz_target != "all" || opt.fuzz_list ||
-                           !opt.fuzz_corpus.empty() || !opt.fuzz_write_corpus.empty())) {
-        err << "cuzc: --target/--corpus/--write-corpus/--list belong to the fuzz "
-               "subcommand\n";
-        return std::nullopt;
-    }
-    if (opt.fuzz_mode) return opt;
+    return f;
+}
+
+/// What a flag table cannot express: the inputs a subcommand needs and the
+/// flags valid only together. "" when the command line is complete.
+std::string incomplete(const CliOptions& opt) {
     if (opt.serve_mode) {
         if (opt.listen_mode == !opt.replay_path.empty()) {
-            err << "cuzc: serve needs exactly one of --replay=TRACE / --listen=PORT\n";
-            return std::nullopt;
+            return "serve needs exactly one of --replay=TRACE / --listen=PORT";
         }
         if (!opt.port_file.empty() && !opt.listen_mode) {
-            err << "cuzc: --port-file is only valid with --listen\n";
-            return std::nullopt;
+            return "--port-file is only valid with --listen";
         }
-        if (!opt.connect_host.empty()) {
-            err << "cuzc: --connect belongs to the replay/assess subcommands\n";
-            return std::nullopt;
-        }
-        if (opt.stream_chunk > 0) {
-            err << "cuzc: --stream-chunk belongs to the replay/assess subcommands\n";
-            return std::nullopt;
-        }
-        return opt;
+        return "";
     }
     if (opt.replay_mode) {
-        if (opt.connect_host.empty() || opt.replay_path.empty()) {
-            err << "cuzc: replay needs --connect=HOST:PORT and --replay=TRACE\n";
-            return std::nullopt;
-        }
-        return opt;
+        return opt.connect_host.empty() || opt.replay_path.empty()
+                   ? "replay needs --connect=HOST:PORT and --replay=TRACE"
+                   : "";
     }
-    if (opt.assess_mode) {
-        if (opt.connect_host.empty()) {
-            err << "cuzc: assess needs --connect=HOST:PORT\n";
-            return std::nullopt;
-        }
-        if (opt.orig_path.empty() || (opt.dec_path.empty() == opt.sz_stream_path.empty())) {
-            err << "cuzc: assess needs --orig and exactly one of --dec / --sz\n";
-            return std::nullopt;
-        }
-        if (opt.dims.volume() == 0) {
-            err << "cuzc: --dims is required\n";
-            return std::nullopt;
-        }
-        if (opt.stream_chunk > 0 && opt.dec_path.empty()) {
-            err << "cuzc: --stream-chunk streams a decompressed field; it needs --dec\n";
-            return std::nullopt;
-        }
-        if (opt.format != "text" && opt.format != "csv" && opt.format != "json" &&
-            opt.format != "html") {
-            err << "cuzc: unknown --format '" << opt.format << "'\n";
-            return std::nullopt;
-        }
-        return opt;
+    if (opt.trace_mode || opt.fuzz_mode) return "";
+    if (opt.assess_mode && opt.connect_host.empty()) return "assess needs --connect=HOST:PORT";
+    if (opt.orig_path.empty() || opt.dec_path.empty() == opt.sz_stream_path.empty()) {
+        return "need --orig and exactly one of --dec / --sz";
     }
-    if (opt.trace_mode) return opt;
-    if (!opt.replay_path.empty()) {
-        err << "cuzc: --replay is only valid with the serve/replay subcommands\n";
-        return std::nullopt;
-    }
-    if (opt.listen_mode || !opt.port_file.empty() || !opt.connect_host.empty()) {
-        err << "cuzc: --listen/--port-file/--connect need the serve/replay/assess "
-               "subcommands\n";
-        return std::nullopt;
-    }
-    if (opt.stream_chunk > 0) {
-        err << "cuzc: --stream-chunk needs the replay/assess subcommands\n";
-        return std::nullopt;
-    }
-    if (opt.faults_from_flag || opt.request_timeout_s > 0 || opt.shard_threshold_s > 0) {
-        err << "cuzc: --faults/--timeout/--shard-threshold are only valid with the serve "
-               "subcommand\n";
-        return std::nullopt;
-    }
-    if (opt.orig_path.empty() || (opt.dec_path.empty() == opt.sz_stream_path.empty())) {
-        err << "cuzc: need --orig and exactly one of --dec / --sz\n";
-        return std::nullopt;
-    }
-    if (opt.dims.volume() == 0) {
-        err << "cuzc: --dims is required\n";
-        return std::nullopt;
+    if (opt.dims.volume() == 0) return "--dims is required";
+    if (opt.stream_chunk > 0 && opt.dec_path.empty()) {
+        return "--stream-chunk streams a decompressed field; it needs --dec";
     }
     if (opt.format != "text" && opt.format != "csv" && opt.format != "json" &&
         opt.format != "html") {
-        err << "cuzc: unknown --format '" << opt.format << "'\n";
+        return "unknown --format '" + opt.format + "'";
+    }
+    return "";
+}
+
+}  // namespace
+
+std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::ostream& err) {
+    CliOptions opt;
+    const std::string_view sub = argc > 1 ? argv[1] : "";
+    bool* mode = sub == "serve"    ? &opt.serve_mode
+                 : sub == "replay" ? &opt.replay_mode
+                 : sub == "assess" ? &opt.assess_mode
+                 : sub == "trace"  ? &opt.trace_mode
+                 : sub == "fuzz"   ? &opt.fuzz_mode
+                                   : nullptr;
+    if (mode != nullptr) *mode = true;
+    const int first = mode != nullptr ? 2 : 1;
+    // --help, -h and --version end the command line of every subcommand.
+    int last = first;
+    const auto ends_line = [](std::string_view a) {
+        return a == "--help" || a == "-h" || a == "--version";
+    };
+    while (last < argc && !ends_line(argv[last])) ++last;
+
+    // argv[first - 1], the program or subcommand name, is not a flag.
+    std::string problem = flag_table(opt).parse(last - first + 1, argv + first - 1);
+    if (problem.empty() && last < argc) {
+        (std::string_view(argv[last]) == "--version" ? opt.version : opt.help) = true;
+        return opt;
+    }
+    if (problem.empty()) problem = incomplete(opt);
+    if (!problem.empty()) {
+        err << "cuzc: " << problem << "\n";
         return std::nullopt;
     }
     return opt;
 }
 
 namespace {
+
+[[nodiscard]] std::vector<std::uint8_t> read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in) throw std::runtime_error("cannot open " + path);
+    const auto size = static_cast<std::size_t>(in.tellg());
+    in.seekg(0);
+    std::vector<std::uint8_t> bytes(size);
+    in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
+    return bytes;
+}
 
 /// The `serve --listen` server currently run by this process, for the
 /// signal handler. One listener at a time (the CLI runs one per process).
@@ -375,35 +263,59 @@ struct ReplaySummary {
     }
 };
 
-[[nodiscard]] int open_sink(const CliOptions& opt, std::ostream& out, std::ostream& err,
-                            std::ofstream& file, std::ostream*& sink) {
-    sink = &out;
-    if (!opt.out_path.empty()) {
-        file.open(opt.out_path);
-        if (!file) {
-            err << "cuzc: cannot open output " << opt.out_path << "\n";
-            return 2;
-        }
-        sink = &file;
+/// Write one output to --out, or to `out` when it is not set. Returns 0,
+/// or 2 when the output file cannot be opened.
+template <class Write>
+[[nodiscard]] int emit(const CliOptions& opt, std::ostream& out, std::ostream& err,
+                       const Write& write) {
+    if (opt.out_path.empty()) {
+        write(out);
+        return 0;
     }
+    std::ofstream file(opt.out_path);
+    if (!file) {
+        err << "cuzc: cannot open output " << opt.out_path << "\n";
+        return 2;
+    }
+    write(file);
     return 0;
 }
 
-void write_replay_json(std::ostream& os, const CliOptions& opt, const ReplaySummary& sum) {
-    os << "{\n"
-       << "  \"schema\": \"cuzc-serve-replay-v2\",\n"
-       << "  \"trace\": " << io::json_string(opt.replay_path) << ",\n"
-       << "  \"simd\": \"" << vgpu::simd::banner() << "\",\n"
-       << "  \"devices\": " << opt.devices << ",\n"
-       << "  \"threads\": " << vgpu::BlockScheduler::instance().max_workers() << ",\n"
-       << "  \"requests\": " << sum.requests << ",\n"
-       << "  \"degraded\": " << sum.degraded << ",\n"
-       << "  \"rejected\": " << sum.rejected << ",\n"
-       << "  \"timed_out\": " << sum.timed_out << ",\n"
-       << "  \"sharded\": " << sum.sharded << ",\n"
-       << "  \"cache_hits\": " << sum.hits << ",\n"
-       << "  \"results_fnv\": \"" << fnv_hex(sum.results_fnv) << "\",\n"
-       << "  \"wall_seconds\": " << sum.wall_s << ",\n";
+[[nodiscard]] int emit_json(const CliOptions& opt, std::ostream& out, std::ostream& err,
+                            const io::Json& doc) {
+    return emit(opt, out, err, [&doc](std::ostream& os) { os << doc << '\n'; });
+}
+
+/// The report in --format, the one sink of local and remote assessment.
+[[nodiscard]] int emit_report(const CliOptions& opt, std::ostream& out, std::ostream& err,
+                              const zc::AssessmentReport& report,
+                              const std::optional<zc::CompressionStats>& compression = {}) {
+    return emit(opt, out, err, [&](std::ostream& os) {
+        if (opt.format == "csv") {
+            io::write_csv(os, report);
+        } else if (opt.format == "json") {
+            io::write_json(os, report);
+        } else if (opt.format == "html") {
+            io::HtmlReportOptions hopt;
+            hopt.field_name = opt.orig_path;
+            hopt.compression = compression;
+            io::write_html(os, report, hopt);
+        } else {
+            io::write_text(os, report);
+        }
+    });
+}
+
+/// The `cuzc-serve-replay-v2` document of both replay paths, before the
+/// tail each adds ("telemetry" in process, "client" over the wire).
+[[nodiscard]] io::Json replay_json(const CliOptions& opt, const ReplaySummary& sum) {
+    return io::Json::Object{
+        {"schema", "cuzc-serve-replay-v2"}, {"trace", opt.replay_path},
+        {"simd", vgpu::simd::banner()}, {"devices", opt.devices},
+        {"threads", vgpu::BlockScheduler::instance().max_workers()},
+        {"requests", sum.requests}, {"degraded", sum.degraded}, {"rejected", sum.rejected},
+        {"timed_out", sum.timed_out}, {"sharded", sum.sharded}, {"cache_hits", sum.hits},
+        {"results_fnv", fnv_hex(sum.results_fnv)}, {"wall_seconds", sum.wall_s}};
 }
 
 [[nodiscard]] serve::ServiceConfig service_config_of(const CliOptions& opt) {
@@ -447,16 +359,9 @@ int run_serve(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     sum.requests = trace.size();
     for (auto& f : futures) sum.absorb(f.get());
     sum.wall_s = watch.seconds();
-    const serve::ServiceTelemetry tele = service.telemetry();
-
-    std::ofstream file;
-    std::ostream* sink = nullptr;
-    if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
-    write_replay_json(*sink, opt, sum);
-    *sink << "  \"telemetry\": ";
-    tele.write_json(*sink, 2);
-    *sink << "\n}\n";
-    return 0;
+    io::Json doc = replay_json(opt, sum);
+    doc.set("telemetry", service.telemetry().json());
+    return emit_json(opt, out, err, doc);
 }
 
 /// Upload one materialized request as a streaming session: begin, feed
@@ -508,21 +413,13 @@ int run_replay_connect(const CliOptions& opt, std::ostream& out, std::ostream& e
     sum.requests = trace.size();
     for (const std::uint64_t id : ids) sum.absorb(client.wait(id));
     sum.wall_s = watch.seconds();
-
-    std::ofstream file;
-    std::ostream* sink = nullptr;
-    if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
-    write_replay_json(*sink, opt, sum);
-    *sink << "  \"client\": {\n"
-          << "    \"server\": "
-          << io::json_string(opt.connect_host + ":" + std::to_string(opt.connect_port)) << ",\n"
-          << "    \"frames_tx\": " << client.frames_tx() << ",\n"
-          << "    \"frames_rx\": " << client.frames_rx() << ",\n"
-          << "    \"bytes_tx\": " << client.bytes_tx() << ",\n"
-          << "    \"bytes_rx\": " << client.bytes_rx() << "\n"
-          << "  }\n}\n";
+    io::Json doc = replay_json(opt, sum);
+    doc.set("client", io::Json::Object{
+                          {"server", opt.connect_host + ":" + std::to_string(opt.connect_port)},
+                          {"frames_tx", client.frames_tx()}, {"frames_rx", client.frames_rx()},
+                          {"bytes_tx", client.bytes_tx()}, {"bytes_rx", client.bytes_rx()}});
     client.close();
-    return 0;
+    return emit_json(opt, out, err, doc);
 }
 
 /// Assess one file pair on a remote server (`cuzc assess --connect`),
@@ -561,22 +458,7 @@ int run_assess_connect(const CliOptions& opt, std::ostream& out, std::ostream& e
             << (resp.error.empty() ? "request rejected" : resp.error) << "\n";
         return 2;
     }
-
-    std::ofstream file;
-    std::ostream* sink = nullptr;
-    if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
-    if (opt.format == "csv") {
-        io::write_csv(*sink, resp.result.report);
-    } else if (opt.format == "json") {
-        io::write_json(*sink, resp.result.report);
-    } else if (opt.format == "html") {
-        io::HtmlReportOptions hopt;
-        hopt.field_name = opt.orig_path;
-        io::write_html(*sink, resp.result.report, hopt);
-    } else {
-        io::write_text(*sink, resp.result.report);
-    }
-    return 0;
+    return emit_report(opt, out, err, resp.result.report);
 }
 
 /// Run the socket front-end until SIGINT/SIGTERM (or a test calling
@@ -613,20 +495,11 @@ int run_listen(const CliOptions& opt, std::ostream& out, std::ostream& err) {
         std::this_thread::yield();
     }
 
-    const serve::NetTelemetry net_tele = server.telemetry();
-    const serve::ServiceTelemetry svc_tele = server.service_telemetry();
-    std::ofstream file;
-    std::ostream* sink = nullptr;
-    if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
-    *sink << "{\n"
-          << "  \"schema\": \"cuzc-serve-listen-v1\",\n"
-          << "  \"port\": " << server.port() << ",\n"
-          << "  \"net\": ";
-    net_tele.write_json(*sink, 2);
-    *sink << ",\n  \"service\": ";
-    svc_tele.write_json(*sink, 2);
-    *sink << "\n}\n";
-    return 0;
+    return emit_json(opt, out, err,
+                     io::Json::Object{{"schema", "cuzc-serve-listen-v1"},
+                                      {"port", server.port()},
+                                      {"net", server.telemetry().json()},
+                                      {"service", server.service_telemetry().json()}});
 }
 
 /// Run the differential fuzzing / invariant harness (`cuzc fuzz`).
@@ -666,28 +539,26 @@ int run_fuzz(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     fopt.corpus_dir = opt.fuzz_corpus;
     fopt.log = &err;
 
-    std::ofstream file;
-    std::ostream* sink = nullptr;
-    if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
     std::size_t findings = 0;
-    *sink << "{\n  \"schema\": \"cuzc-fuzz-v1\",\n  \"seed\": " << opt.trace_seed
-          << ",\n  \"iters\": " << opt.fuzz_iters << ",\n  \"targets\": [";
-    bool first_target = true;
+    io::Json::Array rows;
     for (const fuzz::Target* t : picked) {
         const fuzz::FuzzResult res = fuzz::run_target(*t, fopt);
         findings += res.findings.size();
-        *sink << (first_target ? "\n" : ",\n") << "    {\"name\": \"" << t->name
-              << "\", \"iterations\": " << res.iterations
-              << ", \"corpus_entries\": " << res.corpus_entries
-              << ", \"findings\": " << res.findings.size() << "}";
-        first_target = false;
+        rows.emplace_back(io::Json::Object{{"name", t->name},
+                                           {"iterations", res.iterations},
+                                           {"corpus_entries", res.corpus_entries},
+                                           {"findings", res.findings.size()}});
         for (const fuzz::Finding& f : res.findings) {
             err << "cuzc: FUZZ FINDING [" << t->name << "] " << f.what
                 << (f.corpus_file.empty() ? "" : " (saved: " + f.corpus_file + ")") << "\n";
         }
     }
-    *sink << "\n  ],\n  \"findings\": " << findings << "\n}\n";
-    return findings == 0 ? 0 : 1;
+    const int rc = emit_json(
+        opt, out, err,
+        io::Json::Object{{"schema", "cuzc-fuzz-v1"}, {"seed", opt.trace_seed},
+                         {"iters", opt.fuzz_iters}, {"targets", std::move(rows)},
+                         {"findings", findings}});
+    return rc != 0 ? rc : findings == 0 ? 0 : 1;
 }
 
 /// Write a deterministic mixed-workload trace (the generator behind the
@@ -699,12 +570,7 @@ int run_trace(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     gcfg.distinct = opt.trace_distinct;
     gcfg.tight_deadline_fraction = opt.trace_tight_fraction;
     const auto trace = serve::generate_trace(gcfg);
-
-    std::ofstream file;
-    std::ostream* sink = nullptr;
-    if (const int rc = open_sink(opt, out, err, file, sink)) return rc;
-    serve::write_trace(*sink, trace);
-    return 0;
+    return emit(opt, out, err, [&trace](std::ostream& os) { serve::write_trace(os, trace); });
 }
 
 }  // namespace
@@ -780,28 +646,7 @@ int run_cli(const CliOptions& opt, std::ostream& out, std::ostream& err) {
             profiles = {r.pattern1, r.pattern2, r.pattern3};
         }
 
-        std::ofstream file;
-        std::ostream* sink = &out;
-        if (!opt.out_path.empty()) {
-            file.open(opt.out_path);
-            if (!file) {
-                err << "cuzc: cannot open output " << opt.out_path << "\n";
-                return 2;
-            }
-            sink = &file;
-        }
-        if (opt.format == "csv") {
-            io::write_csv(*sink, report);
-        } else if (opt.format == "json") {
-            io::write_json(*sink, report);
-        } else if (opt.format == "html") {
-            io::HtmlReportOptions hopt;
-            hopt.field_name = opt.orig_path;
-            hopt.compression = comp_stats;
-            io::write_html(*sink, report, hopt);
-        } else {
-            io::write_text(*sink, report);
-        }
+        if (const int rc = emit_report(opt, out, err, report, comp_stats)) return rc;
 
         if (opt.show_profile) {
             err << vgpu::simd::banner() << "\n";

@@ -82,30 +82,12 @@ struct CliOptions {
     bool fuzz_list = false;            ///< print target names and exit
 };
 
-/// Parse argv. Returns std::nullopt plus a message on `err` for invalid
-/// input. Recognized flags:
-///   --orig=PATH --dec=PATH | --sz=PATH   input pair
-///   --dims=HxWxL                         field shape
-///   --config=PATH                        Z-checker .cfg for metrics
-///   --format=text|csv|json|html          output format
-///   --out=PATH                           output file (default stdout)
-///   --devices=N                          multi-GPU decomposition
-///   --profile                            print kernel profiles to stderr
-///   --threads=N                          vgpu scheduler workers (overrides env)
-///   --help
-///
-/// Subcommand `cuzc assess --connect=HOST:PORT` ships the input pair to a
-/// remote server instead of assessing in-process; `--stream-chunk=N`
-/// streams it in N-element chunks (requires --dec).
-///
-/// Subcommand `cuzc serve --replay=TRACE` replays a workload trace through
-/// the in-process assessment service; extra flags:
-///   --devices=N --cache=N --batch=N --no-coalesce --out=PATH
-///   --timeout=SECONDS              per-request wall-clock ceiling
-///   --faults=SPEC                  deterministic fault injection, e.g.
-///                                  "seed=7,kernel=0.1,alloc=0.05" (see
-///                                  vgpu::FaultPlan::parse; overrides the
-///                                  CUZC_FAULTS environment variable)
+/// Parse argv. Each subcommand (none for local assessment; `serve`,
+/// `replay`, `assess`, `trace`, `fuzz`) has one io::Flags table holding
+/// exactly the flags it reads; --help, -h and --version end the command
+/// line of every subcommand. Returns std::nullopt plus a message on `err`
+/// for an unknown flag, a malformed value or a missing input. usage() lists
+/// the flags.
 [[nodiscard]] std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
                                                   std::ostream& err);
 
