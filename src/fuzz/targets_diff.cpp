@@ -8,6 +8,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "fuzz/fuzz.hpp"
 #include "fuzz/mutate.hpp"
 #include "fuzz/rng.hpp"
+#include "fuzz/serial_fold.hpp"
 #include "net/wire.hpp"
 #include "serve/cache.hpp"
 #include "serve/request.hpp"
@@ -54,67 +58,97 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+struct BackendGuard {
+    vgpu::simd::Backend saved = vgpu::simd::active_backend();
+    ~BackendGuard() { vgpu::simd::force_backend(saved); }
+};
+
+/// One element: mostly finite, and with `hostile` also ±0, ±inf, NaN and
+/// denormals, the inputs that take the lane fold's exceptional paths.
+float stream_value(Rng& rng, bool hostile) {
+    if (hostile && rng.chance(0.2)) {
+        constexpr float kInf = std::numeric_limits<float>::infinity();
+        constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+        constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+        const float specials[] = {0.0f, -0.0f, kInf, -kInf, kNaN, kDenorm, -37.0f * kDenorm};
+        return specials[rng.below(std::size(specials))];
+    }
+    const double mag = rng.chance(0.1) ? 1e4 : 1.0;
+    return static_cast<float>((rng.unit() * 2.0 - 1.0) * mag);
+}
+
 void stream_diff_iterate(std::uint64_t seed, std::uint64_t iter) {
     Rng rng(mix_seed(seed, iter, 0x73646966));  // "sdif"
-    const zc::Dims3 dims{rng.range(1, 8), rng.range(1, 8), rng.range(1, 16)};
-    const zc::Field orig = random_field(rng, dims);
-    zc::Field dec = orig;
-    for (float& v : dec.data()) {
-        v += static_cast<float>((rng.unit() * 2.0 - 1.0) * 0.05);
+    const std::size_t n = rng.range(1, 4000);
+    const bool hostile = rng.chance(0.5);
+    std::vector<float> orig(n), dec(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        orig[i] = stream_value(rng, hostile);
+        if (rng.chance(0.1)) {
+            dec[i] = orig[i];
+        } else if (hostile && rng.chance(0.1)) {
+            dec[i] = stream_value(rng, true);
+        } else {
+            dec[i] = orig[i] + static_cast<float>((rng.unit() * 2.0 - 1.0) * 0.05);
+        }
     }
     zc::MetricsConfig cfg = zc::MetricsConfig::only(zc::Pattern::kGlobalReduction);
-    cfg.pdf_bins = static_cast<int>(rng.range(1, 64));
-
-    const auto batch = zc::reduction_metrics(orig.view(), dec.view(), cfg);
-
-    // Whole-buffer feed: the scalars match bit-for-bit and the
-    // distributions match within the contract's EXPECT_DOUBLE_EQ slack.
-    zc::StreamingAssessor whole(cfg);
-    whole.feed(orig.data(), dec.data());
-    const auto whole_report = whole.finalize();
-    if (!bitwise_equal(scalar_moments(whole_report), scalar_moments(batch))) {
-        throw FuzzFailure("whole-feed streaming scalars diverged from batch");
+    cfg.pdf_bins = static_cast<int>(rng.range(1, 300));
+    if (rng.chance(0.25)) cfg.pwr_eps = 0.0;
+    // Half the streams come in chunks of at most 16 elements, so they
+    // rebin many times; the others in chunks of up to 1500.
+    const std::size_t max_chunk = rng.chance(0.5) ? 16 : 1500;
+    std::vector<std::size_t> cuts;
+    for (std::size_t off = 0; off < n;) {
+        cuts.push_back(std::min<std::size_t>(n - off, rng.range(1, max_chunk)));
+        off += cuts.back();
     }
-    if (whole_report.err_pdf.size() != batch.err_pdf.size() ||
-        whole_report.pwr_err_pdf.size() != batch.pwr_err_pdf.size()) {
-        throw FuzzFailure("whole-feed streaming PDF shape diverged from batch");
-    }
-    for (std::size_t b = 0; b < batch.err_pdf.size(); ++b) {
-        if (std::abs(whole_report.err_pdf[b] - batch.err_pdf[b]) > 1e-12 ||
-            std::abs(whole_report.pwr_err_pdf[b] - batch.pwr_err_pdf[b]) > 1e-12) {
-            throw FuzzFailure("whole-feed streaming PDF bin " + std::to_string(b) +
-                              " diverged from batch");
+
+    // Every backend's lane fold reproduces the serial oracle, report field
+    // for report field, chunked and as one whole feed (= batch).
+    const auto ref = fold_chunks<SerialStreamFold>(cfg, orig, dec, cuts);
+    const auto ref_whole = fold_chunks<SerialStreamFold>(cfg, orig, dec, {n});
+    const zc::Tensor3f to(orig, {1, 1, n}), td(dec, {1, 1, n});
+    BackendGuard guard;
+    for (const vgpu::simd::Backend b : vgpu::simd::available_backends()) {
+        const std::string name(vgpu::simd::backend_name(b));
+        if (!vgpu::simd::force_backend(b)) {
+            throw FuzzFailure("advertised SIMD backend refused to activate: " + name);
+        }
+        if (!same_report_bits(fold_chunks<zc::StreamingAssessor>(cfg, orig, dec, cuts), ref)) {
+            throw FuzzFailure("chunked stream fold diverged from the serial oracle on " + name);
+        }
+        if (!same_report_bits(zc::reduction_metrics(to, td, cfg), ref_whole)) {
+            throw FuzzFailure("batch reduction diverged from the serial oracle on " + name);
         }
     }
 
-    // Random chunking: the scalar moments stay bit-identical.
-    zc::StreamingAssessor chunked(cfg);
-    std::size_t off = 0;
-    while (off < orig.size()) {
-        const std::size_t n = std::min<std::size_t>(
-            orig.size() - off, static_cast<std::size_t>(rng.range(1, 16)));
-        chunked.feed(orig.data().subspan(off, n), dec.data().subspan(off, n));
-        off += n;
-    }
-    if (chunked.consumed() != orig.size()) {
-        throw FuzzFailure("chunked streaming lost elements: consumed " +
-                          std::to_string(chunked.consumed()) + " of " +
-                          std::to_string(orig.size()));
-    }
-    const auto chunked_report = chunked.finalize();
-    if (!bitwise_equal(scalar_moments(chunked_report), scalar_moments(batch))) {
+    // On finite data the scalar moments do not depend on the chunking.
+    if (!hostile && !bitwise_equal(scalar_moments(ref), scalar_moments(ref_whole))) {
         throw FuzzFailure("chunked streaming scalar moments diverged from batch");
     }
     // Distributions may rebin, but probability mass is conserved.
     double mass = 0;
-    for (const double p : chunked_report.err_pdf) mass += p;
-    if (!chunked_report.err_pdf.empty() && (mass < 1.0 - 1e-9 || mass > 1.0 + 1e-9)) {
+    for (const double p : ref.err_pdf) mass += p;
+    if (mass < 1.0 - 1e-9 || mass > 1.0 + 1e-9) {
         throw FuzzFailure("chunked streaming error PDF mass is " + std::to_string(mass));
     }
 
-    // A skewed chunk must be rejected without corrupting the accumulator.
-    const std::vector<float> four(4, 1.0f), three(3, 1.0f);
+    // The chunked feed consumes every element, and a skewed chunk must be
+    // rejected without corrupting the accumulator.
+    zc::StreamingAssessor chunked(cfg);
+    std::size_t off = 0;
+    for (const std::size_t c : cuts) {
+        chunked.feed(std::span<const float>(orig).subspan(off, c),
+                     std::span<const float>(dec).subspan(off, c));
+        off += c;
+    }
     const auto before = chunked.consumed();
+    if (before != n) {
+        throw FuzzFailure("chunked streaming lost elements: consumed " + std::to_string(before) +
+                          " of " + std::to_string(n));
+    }
+    const std::vector<float> four(4, 1.0f), three(3, 1.0f);
     bool threw = false;
     try {
         chunked.feed(four, three);
@@ -127,11 +161,6 @@ void stream_diff_iterate(std::uint64_t seed, std::uint64_t iter) {
 }
 
 // --- simd-diff ----------------------------------------------------------
-
-struct BackendGuard {
-    vgpu::simd::Backend saved = vgpu::simd::active_backend();
-    ~BackendGuard() { vgpu::simd::force_backend(saved); }
-};
 
 void simd_diff_iterate(std::uint64_t seed, std::uint64_t iter) {
     Rng rng(mix_seed(seed, iter, 0x73696d64));  // "simd"
@@ -335,8 +364,9 @@ void report_roundtrip_corpus(CorpusWriter& w) {
 void register_diff_targets() {
     register_target(Target{
         "stream-diff",
-        "StreamingAssessor vs batch reduction over random chunkings: scalar moments "
-        "bit-identical, PDF mass conserved, skewed chunks rejected",
+        "lane stream fold and batch reduction vs the serial oracle on every SIMD backend, "
+        "over random chunkings and non-finite inputs: every report field bit-identical, "
+        "PDF mass conserved, skewed chunks rejected",
         stream_diff_iterate,
         nullptr,
         nullptr,

@@ -450,6 +450,20 @@ void NetClient::close() {
             if (::poll(&p, 1, 50) <= 0) break;
             impl_->flush();
         }
+        // Then wait, within the same bound, for the server's EOF: it closes
+        // a Goodbye connection once nothing is in flight, so by then it has
+        // read and counted the Goodbye. Late frames are discarded.
+        std::uint8_t sink[4096];
+        while (impl_->write_q.empty() && seconds_since(t0) < 0.25) {
+            pollfd p{impl_->fd, POLLIN, 0};
+            const int rc = ::poll(&p, 1, 50);
+            if (rc < 0 && errno != EINTR) break;
+            if (rc <= 0) continue;
+            const ssize_t n = ::recv(impl_->fd, sink, sizeof sink, 0);
+            if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+                break;
+            }
+        }
     } catch (const WireError&) {  // peer already gone; nothing to drain
     }
     if (impl_->fd >= 0) ::close(impl_->fd);

@@ -352,8 +352,10 @@ struct NetServer::Impl {
                 if (taken >= 2 * kChunk || !may_buffer_more(conn)) break;
                 continue;
             }
-            if (n == 0) {  // peer closed
-                close_conn(id);
+            if (n == 0) {
+                // Peer closed: its last frames (a Goodbye often rides with
+                // the FIN) were sent, so count and handle them, then close.
+                if (process_frames(id)) close_conn(id);
                 return false;
             }
             if (errno == EAGAIN || errno == EWOULDBLOCK) break;

@@ -14,8 +14,11 @@ namespace cuzc::serve {
 
 /// Content address of one assessment: a 128-bit hash over the raw bytes of
 /// both fields, the shape, and every config parameter that affects the
-/// result. Two independent 64-bit FNV-1a streams make accidental collision
-/// probability negligible at service scale.
+/// result. One pass of eight lane-striped 64-bit multiply-xorshift chains
+/// reads both fields; the lanes, dims and knobs fold into two 64-bit
+/// halves. Accidental collisions are negligible at service scale, but the
+/// hash is not collision-resistant against chosen inputs, and its values
+/// are process-local (they live only in the in-memory LRU).
 struct CacheKey {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;

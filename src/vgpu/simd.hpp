@@ -108,6 +108,15 @@ struct Ops {
     /// handles the degenerate !(hi > lo) case.
     void (*pdf_bins)(std::int32_t* dst, const double* v, double lo, double range,
                      std::int32_t bins, std::size_t n);
+    /// Ranges of n element pairs, the stream fold's first pass: folds
+    /// e = y - x, p = zc::pwr_error(x, y, eps) and x (widened to f64) into
+    /// lo[0..2] / hi[0..2] (order e, p, x) as acc = min(v, acc) and
+    /// max(v, acc), each lane starting from the values lo/hi hold on entry,
+    /// then across lanes in lane order. The result equals the serial
+    /// std::min/std::max fold's, except that the sign of a zero extreme
+    /// depends on the lane order: the caller settles it.
+    void (*fold_ranges)(const float* x, const float* y, double eps, std::size_t n,
+                        double* lo, double* hi);
 
     // -- fused pattern rows ----------------------------------------------
     /// Pattern-1 fused 15-slot update of n warp lanes: lane j reads

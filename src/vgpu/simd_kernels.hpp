@@ -277,6 +277,52 @@ struct Kernels {
         }
     }
 
+    static void fold_ranges(const float* x, const float* y, double eps, std::size_t n,
+                            double* lo, double* hi) {
+        const reg veps = V::bcast(eps);
+        reg le = V::bcast(lo[0]), he = V::bcast(hi[0]);
+        reg lp = V::bcast(lo[1]), hp = V::bcast(hi[1]);
+        reg lx = V::bcast(lo[2]), hx = V::bcast(hi[2]);
+        std::size_t i = 0;
+        for (; i + W <= n; i += W) {
+            const reg vx = V::cvt_f32(x + i);
+            const reg e = V::sub(V::cvt_f32(y + i), vx);
+            const reg p = V::div(e, V::vmax(V::sel_abs(vx), veps));
+            le = V::vmin(e, le);
+            he = V::vmax(e, he);
+            lp = V::vmin(p, lp);
+            hp = V::vmax(p, hp);
+            lx = V::vmin(vx, lx);
+            hx = V::vmax(vx, hx);
+        }
+        // Lanes meet in lane order; a lane seeded with a NaN kept it, and
+        // every lane was seeded alike.
+        double l[3][W], h[3][W];
+        V::storeu(l[0], le);
+        V::storeu(h[0], he);
+        V::storeu(l[1], lp);
+        V::storeu(h[1], hp);
+        V::storeu(l[2], lx);
+        V::storeu(h[2], hx);
+        for (std::size_t k = 0; k < 3; ++k) {
+            for (std::size_t j = 0; j < W; ++j) {
+                lo[k] = s_min(l[k][j], lo[k]);
+                hi[k] = s_max(h[k][j], hi[k]);
+            }
+        }
+        for (; i < n; ++i) {
+            const double vx = static_cast<double>(x[i]);
+            const double e = static_cast<double>(y[i]) - vx;
+            const double p = e / s_max(s_sel_abs(vx), eps);
+            lo[0] = s_min(e, lo[0]);
+            hi[0] = s_max(e, hi[0]);
+            lo[1] = s_min(p, lo[1]);
+            hi[1] = s_max(p, hi[1]);
+            lo[2] = s_min(vx, lo[2]);
+            hi[2] = s_max(vx, hi[2]);
+        }
+    }
+
     // ---- fused pattern rows ---------------------------------------------
 
     static void p1_update(const float* po, const float* pd, std::size_t stride, double eps,
@@ -614,6 +660,7 @@ template <class V>
     t.min_acc_strided = &K::min_acc_strided;
     t.max_acc_strided = &K::max_acc_strided;
     t.pdf_bins = &K::pdf_bins;
+    t.fold_ranges = &K::fold_ranges;
     t.p1_update = &K::p1_update;
     t.p3_strip_fold = &K::p3_strip_fold;
     t.p3_fold_rows = &K::p3_fold_rows;

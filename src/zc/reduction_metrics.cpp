@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "streaming.hpp"
+
 namespace cuzc::zc {
 
 void finalize_reduction(const ReductionMoments& m, ReductionReport& out) {
@@ -47,74 +49,12 @@ void finalize_reduction(const ReductionMoments& m, ReductionReport& out) {
 
 ReductionReport reduction_metrics(const Tensor3f& orig, const Tensor3f& dec,
                                   const MetricsConfig& cfg) {
-    ReductionReport out;
-    const std::size_t n = orig.size();
-    if (n == 0 || dec.size() != n) return out;
-
-    ReductionMoments m;
-    m.n = n;
-    m.min_val = m.max_val = orig[0];
-    {
-        const double e0 = static_cast<double>(dec[0]) - orig[0];
-        m.min_err = m.max_err = e0;
-        m.min_pwr = m.max_pwr = pwr_error(orig[0], dec[0], cfg.pwr_eps);
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = orig[i];
-        const double y = dec[i];
-        const double e = y - x;
-        const double p = pwr_error(x, y, cfg.pwr_eps);
-
-        m.min_val = std::min(m.min_val, x);
-        m.max_val = std::max(m.max_val, x);
-        m.sum_val += x;
-        m.sum_val_sq += x * x;
-
-        m.min_err = std::min(m.min_err, e);
-        m.max_err = std::max(m.max_err, e);
-        m.sum_err += e;
-        m.sum_abs_err += std::fabs(e);
-        m.sum_err_sq += e * e;
-
-        m.min_pwr = std::min(m.min_pwr, p);
-        m.max_pwr = std::max(m.max_pwr, p);
-        m.sum_pwr_abs += std::fabs(p);
-
-        m.sum_dec += y;
-        m.sum_dec_sq += y * y;
-        m.sum_cross += x * y;
-    }
-    finalize_reduction(m, out);
-
-    // Distributions (second pass, using the ranges found above).
-    const int bins = std::max(1, cfg.pdf_bins);
-    out.err_pdf.assign(bins, 0.0);
-    out.err_pdf_min = m.min_err;
-    out.err_pdf_max = m.max_err;
-    out.pwr_err_pdf.assign(bins, 0.0);
-    out.pwr_err_pdf_min = m.min_pwr;
-    out.pwr_err_pdf_max = m.max_pwr;
-    std::vector<double> val_hist(bins, 0.0);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = orig[i];
-        const double e = static_cast<double>(dec[i]) - x;
-        const double p = pwr_error(x, dec[i], cfg.pwr_eps);
-        out.err_pdf[pdf_bin(e, m.min_err, m.max_err, bins)] += 1.0;
-        out.pwr_err_pdf[pdf_bin(p, m.min_pwr, m.max_pwr, bins)] += 1.0;
-        val_hist[pdf_bin(x, m.min_val, m.max_val, bins)] += 1.0;
-    }
-    const double inv_n = 1.0 / static_cast<double>(n);
-    double entropy = 0.0;
-    for (int b = 0; b < bins; ++b) {
-        out.err_pdf[b] *= inv_n;
-        out.pwr_err_pdf[b] *= inv_n;
-        const double pv = val_hist[b] * inv_n;
-        if (pv > 0) entropy -= pv * std::log2(pv);
-    }
-    out.entropy = entropy;
-    return out;
+    if (orig.size() == 0 || dec.size() != orig.size()) return {};
+    // One whole-field feed: with the ranges final from the start, the
+    // stream fold is the batch computation, so both share one implementation.
+    StreamingAssessor fold(cfg);
+    fold.feed(orig.data(), dec.data());
+    return fold.finalize();
 }
 
 }  // namespace cuzc::zc

@@ -2,21 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
+#include "vgpu/simd.hpp"
+
 namespace cuzc::zc {
 
-StreamingAssessor::StreamingAssessor(const MetricsConfig& cfg) : cfg_(cfg) {
-    const auto bins = static_cast<std::size_t>(std::max(1, cfg.pdf_bins));
-    err_hist_.assign(bins, 0.0);
-    pwr_hist_.assign(bins, 0.0);
-    val_hist_.assign(bins, 0.0);
+namespace {
+
+/// Elements per pass-2 block: the fold's scratch is this many x, y, e, p
+/// doubles and three bin indices each, whatever the chunk length.
+constexpr std::size_t kBlock = 256;
+
+/// Element i's value of range k (0: e = y - x, 1: pwr error, 2: x).
+double range_value(int k, std::span<const float> orig, std::span<const float> dec,
+                   std::size_t i, double eps) {
+    const double x = orig[i];
+    if (k == 2) return x;
+    return k == 0 ? static_cast<double>(dec[i]) - x : pwr_error(x, dec[i], eps);
 }
 
-void StreamingAssessor::rebin(double old_lo, double old_hi, double new_lo, double new_hi,
-                              std::vector<double>& hist) const {
-    const int bins = std::max(1, cfg_.pdf_bins);
+/// Moves the counts of `hist`, binned against [old_lo, old_hi], into
+/// [new_lo, new_hi].
+void rebin(double old_lo, double old_hi, double new_lo, double new_hi, int bins,
+           std::vector<double>& hist) {
     if (!(old_hi > old_lo)) {
         // Degenerate accumulated range (e.g. a constant-error first chunk):
         // every count so far was binned at the single point old_lo, so the
@@ -44,6 +55,51 @@ void StreamingAssessor::rebin(double old_lo, double old_hi, double new_lo, doubl
     hist = std::move(next);
 }
 
+}  // namespace
+
+StreamFold::StreamFold(const MetricsConfig& c) : cfg(c), bins(std::max(1, c.pdf_bins)) {
+    for (auto& h : hist) h.assign(static_cast<std::size_t>(bins), 0.0);
+}
+
+void StreamFold::take_ranges(const double (&c_lo)[3], const double (&c_hi)[3]) {
+    for (int k = 0; k < 3; ++k) {
+        if (first) {
+            lo[k] = moments.*kMin[k] = c_lo[k];
+            hi[k] = moments.*kMax[k] = c_hi[k];
+            continue;
+        }
+        const double n_lo = std::min(lo[k], c_lo[k]), n_hi = std::max(hi[k], c_hi[k]);
+        if (n_lo < lo[k] || n_hi > hi[k]) {
+            rebin(lo[k], hi[k], n_lo, n_hi, bins, hist[k]);
+            lo[k] = n_lo;
+            hi[k] = n_hi;
+        }
+    }
+    first = false;
+}
+
+ReductionReport StreamFold::finalize() const {
+    ReductionReport out;
+    if (moments.n == 0) return out;
+    finalize_reduction(moments, out);
+    const double inv_n = 1.0 / static_cast<double>(moments.n);
+    out.err_pdf = hist[0];
+    out.pwr_err_pdf = hist[1];
+    out.err_pdf_min = lo[0];
+    out.err_pdf_max = hi[0];
+    out.pwr_err_pdf_min = lo[1];
+    out.pwr_err_pdf_max = hi[1];
+    double entropy = 0.0;
+    for (std::size_t b = 0; b < hist[2].size(); ++b) {
+        out.err_pdf[b] *= inv_n;
+        out.pwr_err_pdf[b] *= inv_n;
+        const double pv = hist[2][b] * inv_n;
+        if (pv > 0) entropy -= pv * std::log2(pv);
+    }
+    out.entropy = entropy;
+    return out;
+}
+
 void StreamingAssessor::feed(std::span<const float> orig, std::span<const float> dec) {
     // Mismatched chunks are a caller bug; silently truncating to the
     // overlap would skew every accumulated moment and histogram.
@@ -54,104 +110,109 @@ void StreamingAssessor::feed(std::span<const float> orig, std::span<const float>
     }
     const std::size_t n = orig.size();
     if (n == 0) return;
-    const int bins = std::max(1, cfg_.pdf_bins);
+    StreamFold& f = fold_;
+    const double eps = f.cfg.pwr_eps;
+    const auto& ops = vgpu::simd::ops();
 
-    // Chunk-local ranges first, so rebinning happens at most once per feed.
-    // The seed subtraction must happen in double like the loop below: a
-    // float-precision `dec[0] - orig[0]` can round past the true extreme,
-    // and a chunk boundary landing on such an element would widen the
-    // accumulated PDF range by a float ulp that batch assessment never sees.
-    double c_err_lo = static_cast<double>(dec[0]) - static_cast<double>(orig[0]);
-    double c_err_hi = c_err_lo;
-    double c_pwr_lo = pwr_error(orig[0], dec[0], cfg_.pwr_eps), c_pwr_hi = c_pwr_lo;
-    double c_val_lo = orig[0], c_val_hi = c_val_lo;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = orig[i];
-        const double e = static_cast<double>(dec[i]) - x;
-        const double p = pwr_error(x, dec[i], cfg_.pwr_eps);
-        c_err_lo = std::min(c_err_lo, e);
-        c_err_hi = std::max(c_err_hi, e);
-        c_pwr_lo = std::min(c_pwr_lo, p);
-        c_pwr_hi = std::max(c_pwr_hi, p);
-        c_val_lo = std::min(c_val_lo, x);
-        c_val_hi = std::max(c_val_hi, x);
-    }
-    if (first_) {
-        err_lo_ = c_err_lo; err_hi_ = c_err_hi;
-        pwr_lo_ = c_pwr_lo; pwr_hi_ = c_pwr_hi;
-        val_lo_ = c_val_lo; val_hi_ = c_val_hi;
-        moments_.min_err = c_err_lo;
-        moments_.max_err = c_err_hi;
-        moments_.min_pwr = c_pwr_lo;
-        moments_.max_pwr = c_pwr_hi;
-        moments_.min_val = c_val_lo;
-        moments_.max_val = c_val_hi;
-        first_ = false;
-    } else {
-        const double ne_lo = std::min(err_lo_, c_err_lo), ne_hi = std::max(err_hi_, c_err_hi);
-        const double np_lo = std::min(pwr_lo_, c_pwr_lo), np_hi = std::max(pwr_hi_, c_pwr_hi);
-        const double nv_lo = std::min(val_lo_, c_val_lo), nv_hi = std::max(val_hi_, c_val_hi);
-        if (ne_lo < err_lo_ || ne_hi > err_hi_) {
-            rebin(err_lo_, err_hi_, ne_lo, ne_hi, err_hist_);
-            err_lo_ = ne_lo; err_hi_ = ne_hi;
-        }
-        if (np_lo < pwr_lo_ || np_hi > pwr_hi_) {
-            rebin(pwr_lo_, pwr_hi_, np_lo, np_hi, pwr_hist_);
-            pwr_lo_ = np_lo; pwr_hi_ = np_hi;
-        }
-        if (nv_lo < val_lo_ || nv_hi > val_hi_) {
-            rebin(val_lo_, val_hi_, nv_lo, nv_hi, val_hist_);
-            val_lo_ = nv_lo; val_hi_ = nv_hi;
+    // Pass 1: the chunk's ranges of e, p and x, each the serial
+    // std::min/std::max fold seeded from element 0 (in double: a
+    // float-precision `dec[0] - orig[0]` can round past the true extreme
+    // and widen the PDF range by an ulp batch assessment never sees). The
+    // lanes reproduce it but for the sign of a zero extreme: the serial
+    // fold keeps the first element attaining the extreme, so a ±0 extreme
+    // is looked up serially.
+    double seed[3], lo[3], hi[3];
+    for (int k = 0; k < 3; ++k) seed[k] = lo[k] = hi[k] = range_value(k, orig, dec, 0, eps);
+    ops.fold_ranges(orig.data(), dec.data(), eps, n, lo, hi);
+    for (int k = 0; k < 3; ++k) {
+        for (double* ext : {&lo[k], &hi[k]}) {
+            if (*ext != 0) continue;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v = range_value(k, orig, dec, i, eps);
+                if (v == 0) {
+                    *ext = v;
+                    break;
+                }
+            }
         }
     }
-
-    moments_.n += n;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = orig[i];
-        const double y = dec[i];
-        const double e = y - x;
-        const double p = pwr_error(x, y, cfg_.pwr_eps);
-        moments_.min_err = std::min(moments_.min_err, e);
-        moments_.max_err = std::max(moments_.max_err, e);
-        moments_.sum_err += e;
-        moments_.sum_abs_err += std::fabs(e);
-        moments_.sum_err_sq += e * e;
-        moments_.min_pwr = std::min(moments_.min_pwr, p);
-        moments_.max_pwr = std::max(moments_.max_pwr, p);
-        moments_.sum_pwr_abs += std::fabs(p);
-        moments_.min_val = std::min(moments_.min_val, x);
-        moments_.max_val = std::max(moments_.max_val, x);
-        moments_.sum_val += x;
-        moments_.sum_val_sq += x * x;
-        moments_.sum_dec += y;
-        moments_.sum_dec_sq += y * y;
-        moments_.sum_cross += x * y;
-        err_hist_[static_cast<std::size_t>(pdf_bin(e, err_lo_, err_hi_, bins))] += 1.0;
-        pwr_hist_[static_cast<std::size_t>(pdf_bin(p, pwr_lo_, pwr_hi_, bins))] += 1.0;
-        val_hist_[static_cast<std::size_t>(pdf_bin(x, val_lo_, val_hi_, bins))] += 1.0;
+    // The moments' min/max continue the serial fold across chunks. Folding
+    // in the chunk's extreme gives the same bits, unless the chunk's range
+    // was seeded from a NaN and so stands for nothing: then fold the
+    // elements.
+    if (!f.first) {
+        for (int k = 0; k < 3; ++k) {
+            double& m_lo = f.moments.*StreamFold::kMin[k];
+            double& m_hi = f.moments.*StreamFold::kMax[k];
+            if (!std::isnan(seed[k])) {
+                m_lo = std::min(m_lo, lo[k]);
+                m_hi = std::max(m_hi, hi[k]);
+                continue;
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v = range_value(k, orig, dec, i, eps);
+                m_lo = std::min(m_lo, v);
+                m_hi = std::max(m_hi, v);
+            }
+        }
     }
-}
+    f.take_ranges(lo, hi);
 
-ReductionReport StreamingAssessor::finalize() const {
-    ReductionReport out;
-    if (moments_.n == 0) return out;
-    finalize_reduction(moments_, out);
-    const double inv_n = 1.0 / static_cast<double>(moments_.n);
-    out.err_pdf = err_hist_;
-    out.pwr_err_pdf = pwr_hist_;
-    out.err_pdf_min = err_lo_;
-    out.err_pdf_max = err_hi_;
-    out.pwr_err_pdf_min = pwr_lo_;
-    out.pwr_err_pdf_max = pwr_hi_;
-    double entropy = 0.0;
-    for (std::size_t b = 0; b < val_hist_.size(); ++b) {
-        out.err_pdf[b] *= inv_n;
-        out.pwr_err_pdf[b] *= inv_n;
-        const double pv = val_hist_[b] * inv_n;
-        if (pv > 0) entropy -= pv * std::log2(pv);
+    // Pass 2, block by block: the lanes recompute x, y, e and p and bin
+    // them against the running ranges; the nine sums and the histogram
+    // counts then add in element order, as the serial fold adds them. An
+    // empty range bins everything at 0, as pdf_bin does.
+    const auto bin = [&](std::int32_t* dst, const double* v, int k, std::size_t m) {
+        if (f.hi[k] > f.lo[k]) {
+            ops.pdf_bins(dst, v, f.lo[k], f.hi[k] - f.lo[k], f.bins, m);
+        } else {
+            std::fill_n(dst, m, 0);
+        }
+    };
+    ReductionMoments& mo = f.moments;
+    mo.n += n;
+    alignas(64) double xs[kBlock], ys[kBlock], es[kBlock], ps[kBlock];
+    alignas(64) std::int32_t be[kBlock], bp[kBlock], bv[kBlock];
+    double s_err = mo.sum_err, s_abs = mo.sum_abs_err, s_sq = mo.sum_err_sq;
+    double s_pwr = mo.sum_pwr_abs, s_val = mo.sum_val, s_vsq = mo.sum_val_sq;
+    double s_dec = mo.sum_dec, s_dsq = mo.sum_dec_sq, s_cross = mo.sum_cross;
+    double* he = f.hist[0].data();
+    double* hp = f.hist[1].data();
+    double* hv = f.hist[2].data();
+    for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
+        const std::size_t m = std::min(kBlock, n - b0);
+        ops.cvt(xs, orig.data() + b0, m);
+        ops.cvt(ys, dec.data() + b0, m);
+        ops.sub(es, ys, xs, m);
+        ops.pwr(ps, xs, ys, eps, m);
+        bin(be, es, 0, m);
+        bin(bp, ps, 1, m);
+        bin(bv, xs, 2, m);
+        for (std::size_t i = 0; i < m; ++i) {
+            const double x = xs[i], y = ys[i], e = es[i], p = ps[i];
+            s_err += e;
+            s_abs += std::fabs(e);
+            s_sq += e * e;
+            s_pwr += std::fabs(p);
+            s_val += x;
+            s_vsq += x * x;
+            s_dec += y;
+            s_dsq += y * y;
+            s_cross += x * y;
+            he[be[i]] += 1.0;
+            hp[bp[i]] += 1.0;
+            hv[bv[i]] += 1.0;
+        }
     }
-    out.entropy = entropy;
-    return out;
+    mo.sum_err = s_err;
+    mo.sum_abs_err = s_abs;
+    mo.sum_err_sq = s_sq;
+    mo.sum_pwr_abs = s_pwr;
+    mo.sum_val = s_val;
+    mo.sum_val_sq = s_vsq;
+    mo.sum_dec = s_dec;
+    mo.sum_dec_sq = s_dsq;
+    mo.sum_cross = s_cross;
 }
 
 }  // namespace cuzc::zc

@@ -10,42 +10,68 @@
 
 namespace cuzc::zc {
 
+/// What a pattern-1 stream has folded so far: the moments, and the error,
+/// pwr-error and value PDFs binned against running ranges (index 0, 1, 2
+/// of `hist`, `lo` and `hi`) that widen as chunks arrive. The per-element
+/// passes live in StreamingAssessor::feed (and, serial, in its fuzz
+/// oracle); the chunk-level steps live here.
+struct StreamFold {
+    explicit StreamFold(const MetricsConfig& cfg);
+
+    /// Takes one chunk's ranges, each the serial std::min/std::max fold
+    /// seeded from the chunk's element 0. The first chunk sets the running
+    /// ranges and the moments' min/max; a later one widens every running
+    /// range it exceeds and rebins that PDF (the moments' min/max are the
+    /// caller's, since they fold the elements themselves).
+    void take_ranges(const double (&c_lo)[3], const double (&c_hi)[3]);
+
+    /// Every pattern-1 metric over everything folded so far.
+    [[nodiscard]] ReductionReport finalize() const;
+
+    /// The moments' min/max slot of range k.
+    static constexpr double ReductionMoments::*kMin[3] = {
+        &ReductionMoments::min_err, &ReductionMoments::min_pwr, &ReductionMoments::min_val};
+    static constexpr double ReductionMoments::*kMax[3] = {
+        &ReductionMoments::max_err, &ReductionMoments::max_pwr, &ReductionMoments::max_val};
+
+    MetricsConfig cfg;
+    int bins;  ///< max(1, cfg.pdf_bins)
+    ReductionMoments moments{};
+    bool first = true;
+    std::vector<double> hist[3];
+    double lo[3] = {}, hi[3] = {};
+};
+
 /// In-situ (streaming) assessment of the pattern-1 metrics: data chunks
 /// are fed as they are produced — e.g. one snapshot buffer at a time while
 /// a simulation writes — and the global-reduction metrics are finalized at
 /// the end without ever holding the whole dataset.
 ///
-/// PDFs and entropy need the global min/max before binning, so the
-/// accumulator keeps reservoir state per chunk (min/max + moment sums) and
-/// builds the distributions in a second pass over *retained* chunk
-/// summaries: callers that cannot re-read data get every scalar metric
-/// (min/max/avg errors, MSE family, SNR/PSNR, Pearson) exactly, and
-/// distributions from chunk-level scans against provisional ranges that
-/// are refined as chunks arrive (bins recorded against the running range
-/// are rebinned conservatively when the range grows).
+/// Every scalar metric (min/max/avg errors, MSE family, SNR/PSNR, Pearson)
+/// is exact for any chunking: the sums add in element order. PDFs and
+/// entropy need the global range before binning, so each chunk is binned
+/// against the running range, and counts already binned are rebinned by
+/// their bin centres when the range widens. One whole-field feed is the
+/// batch computation (zc::reduction_metrics).
+///
+/// feed() runs two lane passes per chunk (see DESIGN §8); its scratch is
+/// one fixed block on the stack, whatever the chunk length.
 class StreamingAssessor {
 public:
-    explicit StreamingAssessor(const MetricsConfig& cfg);
+    explicit StreamingAssessor(const MetricsConfig& cfg) : fold_(cfg) {}
 
     /// Feed the next chunk of (original, decompressed) values. The spans
     /// must be the same length; a mismatch throws std::invalid_argument.
     void feed(std::span<const float> orig, std::span<const float> dec);
 
     /// Number of elements consumed so far.
-    [[nodiscard]] std::size_t consumed() const noexcept { return moments_.n; }
+    [[nodiscard]] std::size_t consumed() const noexcept { return fold_.moments.n; }
 
     /// Finalize all pattern-1 metrics over everything fed so far.
-    [[nodiscard]] ReductionReport finalize() const;
+    [[nodiscard]] ReductionReport finalize() const { return fold_.finalize(); }
 
 private:
-    void rebin(double old_lo, double old_hi, double new_lo, double new_hi,
-               std::vector<double>& hist) const;
-
-    MetricsConfig cfg_;
-    ReductionMoments moments_{};
-    bool first_ = true;
-    std::vector<double> err_hist_, pwr_hist_, val_hist_;
-    double err_lo_ = 0, err_hi_ = 0, pwr_lo_ = 0, pwr_hi_ = 0, val_lo_ = 0, val_hi_ = 0;
+    StreamFold fold_;
 };
 
 }  // namespace cuzc::zc

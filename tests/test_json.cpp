@@ -56,15 +56,13 @@ std::string golden(const std::string& name) {
 }
 
 /// `json` with the values that differ between runs of one command line
-/// masked: paths, ports, the SIMD banner, worker counts, timings, batching,
-/// the process-wide data-plane ledger, and the server's frames_rx and
-/// bytes_rx (whether it reads the client's Goodbye frame before it drains
-/// is a race).
+/// masked: paths, ports, the SIMD banner, worker counts, timings, batching
+/// and the process-wide data-plane ledger.
 std::string masked(std::string_view json) {
     return tst::mask_json(json, {"trace", "simd", "threads", "wall_seconds", "port", "server",
                                  "spans_s", "mean_us", "max_us", "bucket_counts", "data_plane",
                                  "batches", "coalesced", "uploads", "buffer_allocs",
-                                 "max_queue_depth", "frames_rx", "bytes_rx"});
+                                 "max_queue_depth"});
 }
 
 TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -82,6 +83,40 @@ TEST(NetWire, ChecksumIsDeterministicAndSensitive) {
 
 // --- Framing / assembler ------------------------------------------------
 
+TEST(NetWire, ChecksumKnownAnswersAtEveryStartOffset) {
+    // Values of the byte-assembling checksum loop these word loads replaced;
+    // equal answers keep the wire format and tests/corpus valid. Lengths
+    // cover the empty tail, a tail only, one and two 64-byte rounds and
+    // 64 rounds plus a 13-byte tail; offsets 0-7 cover every word alignment.
+    std::vector<std::uint8_t> buf(4109 + 8);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<std::uint8_t>(::cuzc::data::mix64(i) >> 56);
+    }
+    const std::pair<std::size_t, std::array<std::uint32_t, 8>> known[] = {
+        {0, {0x05181a83, 0x05181a83, 0x05181a83, 0x05181a83, 0x05181a83, 0x05181a83, 0x05181a83,
+             0x05181a83}},
+        {1, {0x2613e4ad, 0x1efe1f1d, 0x8c5c8b12, 0x4f8a1177, 0x47ba4d4b, 0x4ef5a8cb, 0x6878e1ad,
+             0x4ef5a8cb}},
+        {7, {0xaf668a23, 0xdd52763c, 0x302795f5, 0x8509eb73, 0xa45fc014, 0x20b1c1e7, 0xd769f5b8,
+             0xe7d9d12f}},
+        {63, {0x35a00ebb, 0xaea54931, 0xae51abd4, 0x30192f62, 0xc01cc6b6, 0x3788fca8, 0xfa297ded,
+              0xffa72740}},
+        {64, {0x071afbd1, 0x914b7991, 0x453f713c, 0xf7d71be5, 0x78adbb55, 0x4a98214a, 0x79b38afb,
+              0xa456b572}},
+        {65, {0x4a7d109e, 0xd22278bc, 0xc1d98732, 0x00b83434, 0xcd76a0a9, 0x3b496326, 0x91ff9a1c,
+              0xae7899da}},
+        {4109, {0x42d4b2ed, 0xfd651618, 0xf196de54, 0x97fe52e0, 0x37b5d82c, 0x1e10b9ee, 0xf124c431,
+                0x519f1c21}},
+    };
+    for (const auto& [len, sums] : known) {
+        for (std::size_t off = 0; off < 8; ++off) {
+            EXPECT_EQ(net::frame_checksum(std::span<const std::uint8_t>(buf.data() + off, len)),
+                      sums[off])
+                << "length " << len << " offset " << off;
+        }
+    }
+}
+
 TEST(NetWire, FrameRoundTripsThroughAssembler) {
     std::vector<std::uint8_t> payload{1, 2, 3, 4, 5, 6, 7};
     const auto frame = net::encode_frame(net::FrameType::kRequest, 42, payload);
@@ -150,6 +185,39 @@ TEST(NetWire, WritableCommitIngestEqualsFeed) {
     auto res = asm_.next_view();
     ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
     EXPECT_EQ(payload_of(res), payload);
+}
+
+TEST(NetWire, PinnedSlabsAreSwappedNotGrownUnderPipelinedReads) {
+    // 200 pipelined frames in 50 KB reads, so most reads end mid-frame,
+    // while up to 64 delivered views stay pinned (a server's in-flight
+    // window). Every swap to a fresh slab keeps the first slab's size.
+    const std::vector<std::uint8_t> payload(14000, 0x5A);
+    std::vector<std::uint8_t> stream;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        const auto frame = net::encode_frame(net::FrameType::kRequest, i, payload);
+        stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    net::FrameAssembler asm_(1 << 20);
+    std::vector<net::FrameAssembler::Result> held;
+    std::size_t first_cap = 0, max_cap = 0, frames = 0;
+    for (std::size_t off = 0; off < stream.size();) {
+        const auto dst = asm_.writable(64 * 1024);
+        const std::size_t n = std::min<std::size_t>(50000, stream.size() - off);
+        std::memcpy(dst.data(), stream.data() + off, n);
+        asm_.commit(n);
+        off += n;
+        for (auto r = asm_.next_view(); r.status == net::FrameAssembler::Status::kFrame;
+             r = asm_.next_view()) {
+            EXPECT_EQ(r.header.request_id, frames++);
+            if (first_cap == 0) first_cap = r.slab.capacity();
+            max_cap = std::max(max_cap, r.slab.capacity());
+            held.push_back(std::move(r));
+            if (held.size() > 64) held.erase(held.begin());
+        }
+        for (const auto& h : held) ASSERT_EQ(payload_of(h), payload);
+    }
+    EXPECT_EQ(frames, 200u);
+    EXPECT_EQ(max_cap, first_cap);
 }
 
 TEST(NetWire, BadMagicAndBadVersionAreTerminal) {
@@ -606,6 +674,31 @@ int raw_connect(std::uint16_t port) {
         return -1;
     }
     return fd;
+}
+
+TEST(NetServer, FramesThatArriveWithTheFinAreCounted) {
+    // A peer's last frames, a Goodbye above all, often share the server's
+    // read with its FIN. Queue Hello + Goodbye + FIN before the event loop
+    // runs, so one read pass sees all three: both frames must be counted.
+    net::NetServer server(loopback_config());
+    const int fd = raw_connect(server.port());
+    ASSERT_GE(fd, 0);
+    std::vector<std::uint8_t> bytes =
+        net::encode_frame(net::FrameType::kHello, 0, net::encode_hello());
+    const auto bye = net::encode_frame(net::FrameType::kGoodbye, 0, {});
+    bytes.insert(bytes.end(), bye.begin(), bye.end());
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fd);
+    server.start();
+    for (int i = 0; i < 500 && server.telemetry().connections_closed == 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const auto tele = server.telemetry();
+    EXPECT_EQ(tele.connections_closed, 1u);
+    EXPECT_EQ(tele.bytes_rx, bytes.size());
+    EXPECT_EQ(tele.frames_rx, 2u);
+    EXPECT_TRUE(tele.reconciles());
 }
 
 /// True when the peer cleanly closed the stream (EOF without data) within

@@ -12,10 +12,12 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -597,6 +599,93 @@ TEST(Serve, CacheKeyCoversShapeNotJustBytes) {
     EXPECT_THROW((void)serve::result_cache_key(zc::Tensor3f(orig_bytes, tall),
                                                zc::Tensor3f(dec_bytes, wide), cfg),
                  std::invalid_argument);
+}
+
+TEST(Serve, CacheKeyProperties) {
+    const zc::MetricsConfig cfg;
+    const auto key = [&](std::span<const float> o, std::span<const float> d, zc::Dims3 dims,
+                         const zc::MetricsConfig& c) {
+        return serve::result_cache_key(zc::Tensor3f(o, dims), zc::Tensor3f(d, dims), c);
+    };
+    std::uint64_t state = 0x5eed;
+    const auto next = [&] { return ::cuzc::data::mix64(++state); };
+
+    // Random pairs give distinct keys.
+    {
+        const zc::Dims3 dims{2, 3, 5};
+        std::vector<float> o(30), d(30);
+        std::unordered_set<serve::CacheKey, serve::CacheKeyHash> seen;
+        for (int i = 0; i < 10000; ++i) {
+            for (std::size_t j = 0; j < o.size(); ++j) {
+                o[j] = static_cast<float>(next() >> 40);
+                d[j] = static_cast<float>(next() >> 40);
+            }
+            EXPECT_TRUE(seen.insert(key(o, d, dims, cfg)).second) << "pair " << i;
+        }
+    }
+
+    // 5x5x7 floats are 700 bytes: ten 64-byte rounds and a 60-byte tail.
+    // Flipping any one bit of the first 64 bytes, the last 64 bytes (tail
+    // included) or the tail alone, in either field, changes the key.
+    const zc::Dims3 dims{5, 5, 7};
+    std::vector<float> o(175), d(175);
+    for (std::size_t j = 0; j < o.size(); ++j) {
+        o[j] = static_cast<float>(j) * 0.25f;
+        d[j] = o[j] + 0.01f;
+    }
+    const serve::CacheKey base = key(o, d, dims, cfg);
+    const std::size_t bytes = o.size() * sizeof(float);
+    for (std::vector<float>* field : {&o, &d}) {
+        auto* raw = reinterpret_cast<unsigned char*>(field->data());
+        for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{0, 64},
+                                      {bytes - 64, bytes}, {640, bytes}}) {
+            for (std::size_t b = from * 8; b < to * 8; ++b) {
+                raw[b / 8] ^= static_cast<unsigned char>(1u << (b % 8));
+                EXPECT_NE(key(o, d, dims, cfg), base) << "bit " << b;
+                raw[b / 8] ^= static_cast<unsigned char>(1u << (b % 8));
+            }
+        }
+    }
+    ASSERT_EQ(key(o, d, dims, cfg), base);
+
+    // The same bytes at another alignment give the same key.
+    std::vector<float> shifted(2 * o.size() + 16);
+    for (std::size_t at = 1; at < 16; ++at) {
+        std::copy(o.begin(), o.end(), shifted.begin() + at);
+        std::copy(d.begin(), d.end(), shifted.begin() + at + o.size());
+        const std::span<const float> all(shifted);
+        EXPECT_EQ(key(all.subspan(at, o.size()), all.subspan(at + o.size(), d.size()), dims, cfg),
+                  base)
+            << "float offset " << at;
+    }
+
+    // Every shape permutation over the same bytes, and every config knob,
+    // gives its own key.
+    std::vector<serve::CacheKey> keys;
+    for (const zc::Dims3 p : {zc::Dims3{5, 5, 7}, {5, 7, 5}, {7, 5, 5}, {1, 25, 7}, {35, 5, 1},
+                              {175, 1, 1}}) {
+        keys.push_back(key(o, d, p, cfg));
+    }
+    for (int knob = 0; knob < 9; ++knob) {
+        zc::MetricsConfig c = cfg;
+        switch (knob) {
+            case 0: c.pattern1 = !c.pattern1; break;
+            case 1: c.pattern2 = !c.pattern2; break;
+            case 2: c.pattern3 = !c.pattern3; break;
+            case 3: c.pdf_bins += 1; break;
+            case 4: c.autocorr_max_lag += 1; break;
+            case 5: c.deriv_orders -= 1; break;
+            case 6: c.ssim_window += 1; break;
+            case 7: c.ssim_step += 1; break;
+            case 8: c.pwr_eps *= 2; break;
+        }
+        keys.push_back(key(o, d, dims, c));
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            EXPECT_NE(keys[i], keys[j]) << i << " " << j;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

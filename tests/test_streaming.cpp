@@ -5,12 +5,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fuzz/rng.hpp"
+#include "fuzz/serial_fold.hpp"
+#include "net/wire.hpp"
 #include "test_helpers.hpp"
+#include "vgpu/simd.hpp"
 #include "zc/zc.hpp"
 
 namespace {
@@ -259,6 +265,114 @@ TEST(Streaming, MismatchedChunkThrowsAndConsumesNothing) {
     const auto after = sa.finalize();
     EXPECT_EQ(after.mse, before.mse);
     EXPECT_EQ(after.err_pdf, before.err_pdf);
+}
+
+namespace simd = ::cuzc::vgpu::simd;
+namespace fuzz = ::cuzc::fuzz;
+
+/// Restores the SIMD backend a test started with.
+struct BackendGuard {
+    simd::Backend saved = simd::active_backend();
+    ~BackendGuard() { simd::force_backend(saved); }
+};
+
+TEST(Streaming, LaneFoldMatchesTheSerialOracleOnEveryBackend) {
+    // Random chunkings of 1-16 and 1-1500 elements, 1-300 bins, pwr_eps 0
+    // now and then, and inputs with ±0, ±inf, NaN and denormals: the lane
+    // fold and the batch reduction reproduce the serial fold's every
+    // report field.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+    const float specials[] = {0.0f, -0.0f, kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+                              kDenorm, -3 * kDenorm};
+    fuzz::Rng rng(27);
+    BackendGuard guard;
+    for (int c = 0; c < 120; ++c) {
+        const std::size_t n = rng.range(1, 5000);
+        const double special = c % 3 == 0 ? 0.0 : 0.05 * static_cast<double>(c % 3);
+        std::vector<float> orig(n), dec(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            orig[i] = rng.chance(special) ? specials[rng.below(std::size(specials))]
+                                          : static_cast<float>(rng.unit() * 2.0 - 1.0);
+            dec[i] = rng.chance(special)  ? specials[rng.below(std::size(specials))]
+                     : rng.chance(0.1)    ? orig[i]
+                                          : orig[i] + static_cast<float>(rng.unit() * 0.01);
+        }
+        zc::MetricsConfig cfg = zc::MetricsConfig::only(zc::Pattern::kGlobalReduction);
+        cfg.pdf_bins = static_cast<int>(rng.range(1, 300));
+        if (c % 4 == 1) cfg.pwr_eps = 0.0;
+        // Odd cases come in chunks of at most 16 elements, rebinning often.
+        const std::size_t max_chunk = c % 2 == 1 ? 16 : 1500;
+        std::vector<std::size_t> cuts;
+        for (std::size_t off = 0; off < n; off += cuts.back()) {
+            cuts.push_back(std::min<std::size_t>(n - off, rng.range(1, max_chunk)));
+        }
+        const auto ref = fuzz::fold_chunks<fuzz::SerialStreamFold>(cfg, orig, dec, cuts);
+        const auto ref_whole = fuzz::fold_chunks<fuzz::SerialStreamFold>(cfg, orig, dec, {n});
+        const zc::Tensor3f to(orig, {1, 1, n}), td(dec, {1, 1, n});
+        for (const simd::Backend b : simd::available_backends()) {
+            ASSERT_TRUE(simd::force_backend(b));
+            EXPECT_TRUE(fuzz::same_report_bits(
+                fuzz::fold_chunks<zc::StreamingAssessor>(cfg, orig, dec, cuts), ref))
+                << "case " << c << " on " << simd::backend_name(b);
+            EXPECT_TRUE(fuzz::same_report_bits(zc::reduction_metrics(to, td, cfg), ref_whole))
+                << "batch, case " << c << " on " << simd::backend_name(b);
+        }
+    }
+}
+
+TEST(Streaming, LaneFoldTakesTheSerialExtremeOfSignedZerosAndNaNSeeds) {
+    // The serial fold keeps the first element attaining an extreme (so -0
+    // before +0 gives -0) and ignores the range of a chunk whose element 0
+    // is NaN while its moments still fold every element. In the second
+    // pair the min of x, in the third the max of e and of p, is first
+    // attained by a +0 at element 1 (lane 1), while lane 0 reaches a -0 at
+    // element 4: a fold in lane order would return -0.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<std::pair<std::vector<float>, std::vector<float>>> pairs = {
+        {{1.0f, 0.0f, -0.0f, 2.0f, 5.0f, nan, 0.0f, -4.0f, 3.0f},
+         {1.5f, 0.0f, -0.0f, 2.0f, 5.0f, 1.0f, -0.0f, -4.5f, 9.0f}},
+        {{2.0f, 0.0f, 2.0f, 2.0f, -0.0f, 2.0f, 2.0f, 2.0f, 2.0f},
+         {1.0f, 0.0f, 1.0f, 1.0f, -0.0f, 1.0f, 1.0f, 1.0f, 1.0f}},
+        {{2.0f, 1.0f, 2.0f, 2.0f, 0.0f, 2.0f, 2.0f, 2.0f, 2.0f},
+         {1.0f, 1.0f, 1.0f, 1.0f, -0.0f, 1.0f, 1.0f, 1.0f, 1.0f}},
+    };
+    zc::MetricsConfig cfg = zc::MetricsConfig::only(zc::Pattern::kGlobalReduction);
+    cfg.pdf_bins = 4;
+    BackendGuard guard;
+    for (const simd::Backend b : simd::available_backends()) {
+        ASSERT_TRUE(simd::force_backend(b));
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+            const auto& [orig, dec] = pairs[k];
+            for (const std::vector<std::size_t>& cuts :
+                 {std::vector<std::size_t>{9}, {5, 4}, {1, 4, 4}, {2, 1, 6}, {3, 3, 3}, {1, 8}}) {
+                EXPECT_TRUE(fuzz::same_report_bits(
+                    fuzz::fold_chunks<zc::StreamingAssessor>(cfg, orig, dec, cuts),
+                    fuzz::fold_chunks<fuzz::SerialStreamFold>(cfg, orig, dec, cuts)))
+                    << "pair " << k << " on " << simd::backend_name(b) << ", first chunk "
+                    << cuts[0];
+            }
+        }
+    }
+}
+
+TEST(Streaming, StreamDigestOf128CubeAt64KiChunksIsPinned) {
+    // encode_report digest of the serial fold's report, captured before
+    // the lane passes, of the 128^3 pair streamed in 64 Ki-element chunks.
+    const zc::Field orig = tst::smooth_field({128, 128, 128}, 3);
+    const zc::Field dec = tst::perturbed(orig, 0.02, 9);
+    const zc::MetricsConfig cfg = zc::MetricsConfig::only(zc::Pattern::kGlobalReduction);
+    BackendGuard guard;
+    for (const simd::Backend b : simd::available_backends()) {
+        ASSERT_TRUE(simd::force_backend(b));
+        zc::StreamingAssessor sa(cfg);
+        for (std::size_t off = 0; off < orig.size(); off += 65536) {
+            sa.feed(orig.data().subspan(off, 65536), dec.data().subspan(off, 65536));
+        }
+        const zc::AssessmentReport rep{sa.finalize(), {}, {}};
+        EXPECT_EQ(::cuzc::net::digest_report(0, rep), 0xaa0d0b1a3b986b7dull)
+            << simd::backend_name(b);
+    }
 }
 
 }  // namespace
